@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/hash.hpp"
+
 namespace everest::data {
 
 std::string ShardKey::to_string() const {
@@ -9,36 +11,14 @@ std::string ShardKey::to_string() const {
          std::to_string(version);
 }
 
-namespace {
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-}  // namespace
-
 std::uint64_t hash_key(const ShardKey& key, std::uint64_t salt) {
-  std::uint64_t h = kFnvOffset;
-  h = fnv_mix(h, key.object);
-  h = fnv_mix(h, key.shard);
-  h = fnv_mix(h, key.version);
-  h = fnv_mix(h, salt);
-  return h;
+  std::uint64_t h = fnv1a_u64(key.object);
+  h = fnv1a_u64(key.shard, h);
+  h = fnv1a_u64(key.version, h);
+  return fnv1a_u64(salt, h);
 }
 
-ObjectId object_id_from_name(const std::string& name) {
-  std::uint64_t h = kFnvOffset;
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
+ObjectId object_id_from_name(const std::string& name) { return fnv1a(name); }
 
 double DataObject::shard_bytes(std::uint32_t i) const {
   if (num_shards == 0 || i >= num_shards) return 0.0;

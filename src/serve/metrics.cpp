@@ -1,7 +1,5 @@
 #include "serve/metrics.hpp"
 
-#include <algorithm>
-
 namespace everest::serve {
 namespace {
 
@@ -56,11 +54,9 @@ void ServingMetrics::record_admitted(std::size_t queue_depth_after) {
   max_queue_depth_->set_max(static_cast<double>(queue_depth_after));
 }
 
-void ServingMetrics::record_batch(std::size_t batch_size, double service_us) {
+void ServingMetrics::record_batch(std::size_t batch_size) {
   std::lock_guard<std::mutex> lock(mu_);
   ++batch_sizes_[batch_size];
-  batch_size_.add(static_cast<double>(batch_size));
-  service_us_.add(service_us);
 }
 
 void ServingMetrics::record_input_stage(std::uint64_t hits,
@@ -76,56 +72,40 @@ void ServingMetrics::record_feature(const std::string& kernel,
                                     double payload_scale,
                                     double service_share_us) {
   const int bucket = feature_bucket(payload_scale);
-  const obs::Labels tuple_labels = {{"kernel", kernel},
-                                    {"tenant", tenant},
-                                    {"bucket", std::to_string(bucket)}};
-  const std::string tuple_key =
-      obs::Registry::key_of("serve.feature", tuple_labels);
   FeatureInstruments instruments;
-  obs::Histogram* scale_hist = nullptr;
-  obs::Gauge* last_scale = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = feature_cache_.find(tuple_key);
-    if (it == feature_cache_.end()) {
+    auto it = features_.find(std::tie(kernel, tenant, bucket));
+    if (it == features_.end()) {
+      const obs::Labels labels = {{"kernel", kernel},
+                                  {"tenant", tenant},
+                                  {"bucket", std::to_string(bucket)}};
+      const obs::Labels kernel_label = {{"kernel", kernel}};
       FeatureInstruments fresh;
-      fresh.requests =
-          registry_.counter("serve.feature.requests", tuple_labels);
+      fresh.requests = registry_.counter("serve.feature.requests", labels);
       fresh.service_us = registry_.histogram("serve.feature.service_us",
-                                             latency_buckets(), tuple_labels);
-      it = feature_cache_.emplace(tuple_key, fresh).first;
-    }
-    instruments = it->second;
-    auto sit = feature_scale_cache_.find(kernel);
-    if (sit == feature_scale_cache_.end()) {
-      sit = feature_scale_cache_
-                .emplace(kernel,
-                         registry_.histogram("serve.feature.scale",
-                                             scale_buckets(),
-                                             {{"kernel", kernel}}))
-                .first;
+                                             latency_buckets(), labels);
+      fresh.scale = registry_.histogram("serve.feature.scale",
+                                        scale_buckets(), kernel_label);
       // kLastWrite pinned here, the registration site: an instantaneous
       // node-local value the cross-node rollup must drop, per the PR 9
       // GaugeKind contract.
-      feature_last_scale_cache_.emplace(
-          kernel, registry_.gauge("serve.feature.last_scale",
-                                  obs::GaugeKind::kLastWrite,
-                                  {{"kernel", kernel}}));
+      fresh.last_scale = registry_.gauge(
+          "serve.feature.last_scale", obs::GaugeKind::kLastWrite, kernel_label);
+      it = features_.emplace(std::make_tuple(kernel, tenant, bucket), fresh)
+               .first;
     }
-    scale_hist = sit->second;
-    last_scale = feature_last_scale_cache_.at(kernel);
+    instruments = it->second;
   }
   instruments.requests->inc();
   instruments.service_us->record(service_share_us);
-  scale_hist->record(payload_scale);
-  last_scale->set(payload_scale);
+  instruments.scale->record(payload_scale);
+  instruments.last_scale->set(payload_scale);
 }
 
 void ServingMetrics::record_completion(SlaClass sla, double latency_us) {
   completed_->inc();
   latency_hist_[static_cast<int>(sla)]->record(latency_us);
-  std::lock_guard<std::mutex> lock(mu_);
-  latencies_us_[static_cast<int>(sla)].push_back(latency_us);
 }
 
 MetricsSnapshot ServingMetrics::snapshot() const {
@@ -143,28 +123,26 @@ MetricsSnapshot ServingMetrics::snapshot() const {
   snap.input_stall_us = input_stall_us_->value();
   snap.max_queue_depth = static_cast<std::size_t>(max_queue_depth_->value());
 
+  const obs::HistogramSnapshot lc = latency_hist_[0]->snapshot();
+  const obs::HistogramSnapshot tp = latency_hist_[1]->snapshot();
+  obs::HistogramSnapshot all = lc;
+  all.merge(tp);
+  snap.p50_us = all.percentile(50.0);
+  snap.p99_us = all.percentile(99.0);
+  snap.lc_p99_us = lc.percentile(99.0);
+  snap.tp_p99_us = tp.percentile(99.0);
+
   std::lock_guard<std::mutex> lock(mu_);
   snap.batch_histogram = batch_sizes_;
-  snap.batches = 0;
-  for (const auto& [size, n] : batch_sizes_) snap.batches += n;
-  std::vector<double> all;
-  all.reserve(latencies_us_[0].size() + latencies_us_[1].size());
-  all.insert(all.end(), latencies_us_[0].begin(), latencies_us_[0].end());
-  all.insert(all.end(), latencies_us_[1].begin(), latencies_us_[1].end());
-  if (!all.empty()) {
-    snap.p50_us = percentile(all, 50.0);
-    snap.p99_us = percentile(all, 99.0);
-    snap.mean_us = mean_of(all);
-    snap.max_us = *std::max_element(all.begin(), all.end());
+  std::uint64_t requests = 0;
+  for (const auto& [size, n] : batch_sizes_) {
+    snap.batches += n;
+    requests += size * n;
   }
-  if (!latencies_us_[0].empty()) {
-    snap.lc_p99_us = percentile(latencies_us_[0], 99.0);
+  if (snap.batches > 0) {
+    snap.mean_batch_size = static_cast<double>(requests) /
+                           static_cast<double>(snap.batches);
   }
-  if (!latencies_us_[1].empty()) {
-    snap.tp_p99_us = percentile(latencies_us_[1], 99.0);
-  }
-  snap.service_mean_us = service_us_.mean();
-  snap.mean_batch_size = batch_size_.mean();
   return snap;
 }
 
@@ -177,11 +155,7 @@ obs::HistogramSnapshot ServingMetrics::latency_histogram() const {
 void ServingMetrics::reset() {
   registry_.reset();
   std::lock_guard<std::mutex> lock(mu_);
-  latencies_us_[0].clear();
-  latencies_us_[1].clear();
   batch_sizes_.clear();
-  service_us_ = OnlineStats{};
-  batch_size_ = OnlineStats{};
 }
 
 }  // namespace everest::serve

@@ -1,19 +1,19 @@
 // Serving observability, re-backed by obs registry instruments: event
 // counters and the queue-depth watermark are lock-free (relaxed-atomic
-// Counter/Gauge), end-to-end latency feeds both an exact reservoir
-// (for true percentiles) and per-class log-bucketed histograms (for
-// mergeable, export-friendly tails). Only the reservoirs and the
-// batch-size map still sit behind the mutex. A Snapshot is a consistent
-// copy — cheap enough at bench scale and immune to torn reads.
+// Counter/Gauge), and end-to-end latency feeds per-class log-bucketed
+// histograms, which are the only latency record: snapshot percentiles
+// are read off them, within one bucket width of the exact client-side
+// order statistic (bench_e20 checks this). Nothing is stored per
+// request, so memory stays flat under any traffic. Only the batch-size
+// map and the feature-instrument cache sit behind the mutex.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
+#include <tuple>
 
-#include "common/stats.hpp"
 #include "obs/registry.hpp"
 #include "serve/request.hpp"
 
@@ -46,12 +46,10 @@ struct MetricsSnapshot {
                   : static_cast<double>(input_hits) / static_cast<double>(n);
   }
 
-  /// End-to-end latency stats (µs) per SLA class index
-  /// (0 = latency-critical, 1 = throughput) and combined.
-  double p50_us = 0.0, p99_us = 0.0, mean_us = 0.0, max_us = 0.0;
+  /// End-to-end latency percentiles (µs) of OK responses, combined and
+  /// per SLA class, from the serve.latency_us{class} histograms.
+  double p50_us = 0.0, p99_us = 0.0;
   double lc_p99_us = 0.0, tp_p99_us = 0.0;
-  /// Handler execution time per batch (µs).
-  double service_mean_us = 0.0;
 
   /// Batch-size → number of batches dispatched at that size.
   std::map<std::size_t, std::uint64_t> batch_histogram;
@@ -80,7 +78,7 @@ class ServingMetrics {
   void record_failed() { failed_->inc(); }
   void record_unavailable() { unavailable_->inc(); }
   void record_degraded() { degraded_->inc(); }
-  void record_batch(std::size_t batch_size, double service_us);
+  void record_batch(std::size_t batch_size);
   void record_completion(SlaClass sla, double latency_us);
   void record_input_stage(std::uint64_t hits, std::uint64_t misses,
                           double stall_us);
@@ -96,9 +94,9 @@ class ServingMetrics {
   ///     pinned at the registration site (a node-local instantaneous
   ///     value; summing or maxing it across nodes means nothing, so the
   ///     rollup contract drops it from merges).
-  /// Instrument pointers are cached per (kernel, tenant, bucket) so the
-  /// registry's find-or-create mutex is paid once per new tuple, not per
-  /// request.
+  /// Instrument pointers are cached per (kernel, tenant, bucket), so the
+  /// labels, registry keys and the registry's find-or-create mutex are
+  /// paid once per new tuple, not per request.
   void record_feature(const std::string& kernel, const std::string& tenant,
                       double payload_scale, double service_share_us);
 
@@ -109,8 +107,8 @@ class ServingMetrics {
   [[nodiscard]] const obs::Registry& registry() const { return registry_; }
 
   /// Merged (LC + TP) end-to-end latency histogram. Bucket-derived
-  /// percentiles agree with the exact reservoir within one bucket width
-  /// (bench_e20 checks this).
+  /// percentiles agree with the exact client-side ones within one bucket
+  /// width (bench_e20 checks this).
   [[nodiscard]] obs::HistogramSnapshot latency_histogram() const;
 
   /// Drops all samples and counters (between bench sweep points).
@@ -133,21 +131,20 @@ class ServingMetrics {
   obs::Gauge* max_queue_depth_;
   obs::Histogram* latency_hist_[2];  ///< per SLA class, µs
 
-  mutable std::mutex mu_;  // guards the exact reservoirs + batch map
-  std::vector<double> latencies_us_[2];
+  mutable std::mutex mu_;  // guards the batch map + feature cache
   std::map<std::size_t, std::uint64_t> batch_sizes_;
-  OnlineStats service_us_;
-  OnlineStats batch_size_;
 
-  /// Cached feature instruments, keyed by the canonical registry key of
-  /// the (kernel, tenant, bucket) tuple. Guarded by mu_.
+  /// Feature instruments of one (kernel, tenant, bucket) tuple; scale and
+  /// last_scale are the kernel's series, shared by its tuples.
   struct FeatureInstruments {
     obs::Counter* requests = nullptr;
     obs::Histogram* service_us = nullptr;
+    obs::Histogram* scale = nullptr;
+    obs::Gauge* last_scale = nullptr;
   };
-  std::map<std::string, FeatureInstruments> feature_cache_;
-  std::map<std::string, obs::Histogram*> feature_scale_cache_;
-  std::map<std::string, obs::Gauge*> feature_last_scale_cache_;
+  std::map<std::tuple<std::string, std::string, int>, FeatureInstruments,
+           std::less<>>
+      features_;
 };
 
 }  // namespace everest::serve

@@ -138,14 +138,23 @@ Status Server::submit(Request request, ResponseCallback on_done) {
     return FailedPrecondition("server is not running");
   }
   metrics_.record_submitted();
-  if (draining_.load(std::memory_order_acquire)) {
+  // Counted before the seal is read, both seq_cst: drain_gracefully()
+  // stores the seal before it reads this count, so either the drain sees
+  // this request and waits for its delivery, or this read sees the seal.
+  // Every refusal takes the count back.
+  admitted_requests_.fetch_add(1);
+  const auto refuse = [this](Status status) {
+    admitted_requests_.fetch_sub(1);
+    return status;
+  };
+  if (draining_.load()) {
     // Sealed by drain_gracefully(): refuse instead of buffering so the
     // drain condition (finished catches up to admitted) can be reached.
     metrics_.record_unavailable();
-    return Unavailable("server is draining");
+    return refuse(Unavailable("server is draining"));
   }
   if (endpoints_.count(request.kernel) == 0) {
-    return NotFound("no endpoint '" + request.kernel + "'");
+    return refuse(NotFound("no endpoint '" + request.kernel + "'"));
   }
   // SLO burn-rate shedding: the monitor asked for a fraction of
   // throughput-class traffic to be dropped at the front door so the
@@ -154,7 +163,8 @@ Status Server::submit(Request request, ResponseCallback on_done) {
       slo_shed_hit(request.seed,
                    slo_shed_permille_.load(std::memory_order_acquire))) {
     metrics_.record_unavailable();
-    return Unavailable("slo burn-rate control: shedding throughput load");
+    return refuse(
+        Unavailable("slo burn-rate control: shedding throughput load"));
   }
   // Degraded mode sheds bulk traffic early: with breakers open (or an
   // SLO page standing) the queue is reserved for latency-critical work
@@ -166,7 +176,7 @@ Status Server::submit(Request request, ResponseCallback on_done) {
           options_.degraded_shed_fill *
               static_cast<double>(options_.queue_capacity)) {
     metrics_.record_unavailable();
-    return Unavailable("degraded mode: shedding throughput-class load");
+    return refuse(Unavailable("degraded mode: shedding throughput-class load"));
   }
   request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   request.enqueue_time = Clock::now();
@@ -182,10 +192,9 @@ Status Server::submit(Request request, ResponseCallback on_done) {
   const Status admitted = queue_->push(std::move(pending));
   if (!admitted.ok()) {
     metrics_.record_rejected();
-    return admitted;
+    return refuse(admitted);
   }
   metrics_.record_admitted(queue_->size());
-  admitted_requests_.fetch_add(1, std::memory_order_acq_rel);
   return OkStatus();
 }
 
@@ -214,8 +223,29 @@ void Server::dispatch_loop() {
   }
 }
 
+/// How a request ended. The first three end a batch that reached its
+/// handler (or a fault injected in its place); the last two never did.
+enum class Server::Outcome : std::uint8_t {
+  kOk, kDegraded, kFailed, kExpired, kUnavailable
+};
+
+/// What one batch did, shared by every request it finishes: the instants
+/// its requests' span chains are cut from and their common Response
+/// fields. Requests dropped before the handler ran leave the execution
+/// fields unset.
+struct Server::BatchRun {
+  Clock::time_point dispatch, exec_start, exec_end;
+  Clock::time_point done;  ///< when its requests finish
+  std::size_t size = 0;    ///< 0 for requests expired before it formed
+  double service_us = 0.0;
+  /// The autotuner's decision (null if none): the variant that ran and
+  /// the prediction annotated on the execute span.
+  const runtime::Selection* selection = nullptr;
+};
+
 void Server::execute_batch(Batch batch) {
-  const Clock::time_point dispatch_time = Clock::now();
+  BatchRun run;
+  run.dispatch = run.done = Clock::now();  // expired requests end here
   obs::Tracer* tracer = options_.tracer;
   const bool tracing = tracer != nullptr && tracer->enabled();
 
@@ -224,40 +254,21 @@ void Server::execute_batch(Batch batch) {
   std::vector<PendingRequest> live;
   live.reserve(batch.requests.size());
   for (PendingRequest& pending : batch.requests) {
-    if (options_.drop_expired && dispatch_time > pending.request.deadline) {
-      metrics_.record_expired();
-      Response response;
-      response.id = pending.request.id;
-      response.status =
-          DeadlineExceeded("request expired before dispatch (queued " +
-                           std::to_string(static_cast<long>(us_between(
-                               pending.request.enqueue_time, dispatch_time))) +
-                           " us)");
-      response.latency_us =
-          us_between(pending.request.enqueue_time, dispatch_time);
-      if (tracing && pending.request.span_id != 0) {
-        const std::uint64_t trace_id = pending.request.trace.trace_id;
-        const double t_enq = tracer->wall_us(pending.request.enqueue_time);
-        const double t_disp = tracer->wall_us(dispatch_time);
-        tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(),
-                     pending.request.span_id, t_enq, t_disp, obs::kAutoTrack,
-                     "queue", "serve");
-        tracer->instant(obs::TimeDomain::kWall, trace_id, t_disp,
-                        obs::kAutoTrack, "expired", "serve");
-        tracer->span(obs::TimeDomain::kWall, trace_id,
-                     pending.request.span_id,
-                     pending.request.trace.parent_span, t_enq, t_disp,
-                     obs::kAutoTrack, "request", "serve",
-                     {{"outcome", "expired"}});
-      }
-      if (pending.on_done) pending.on_done(response);
-      finished_requests_.fetch_add(1, std::memory_order_acq_rel);
+    if (options_.drop_expired && run.dispatch > pending.request.deadline) {
+      const double queued_us =
+          us_between(pending.request.enqueue_time, run.dispatch);
+      finish(pending, Outcome::kExpired,
+             DeadlineExceeded("request expired before dispatch (queued " +
+                              std::to_string(static_cast<long>(queued_us)) +
+                              " us)"),
+             0.0, run);
       continue;
     }
     live.push_back(std::move(pending));
   }
   batch.requests = std::move(live);
   if (batch.requests.empty()) return;
+  run.size = batch.size();
 
   // Stage request inputs through the input cache before compute: warm
   // keys are free, cold keys stall the batch for their transfer time.
@@ -297,7 +308,7 @@ void Server::execute_batch(Batch batch) {
     for (const PendingRequest& pending : batch.requests) {
       if (pending.request.deadline != Clock::time_point::max()) {
         tightest_us = std::min(
-            tightest_us, us_between(dispatch_time, pending.request.deadline));
+            tightest_us, us_between(run.dispatch, pending.request.deadline));
       }
     }
     goal.latency_deadline_us = std::max(1.0, tightest_us);
@@ -307,40 +318,16 @@ void Server::execute_batch(Batch batch) {
       return breakers_.allow(batch.kernel, v.id, breaker_now_us());
     };
   }
-  std::string variant_id;
   auto selection = tuner_.select(batch.kernel, goal, state);
-  if (selection.ok()) variant_id = selection->variant.id;
+  if (selection.ok()) run.selection = &*selection;
 
   if (!selection.ok() && selection.status().code() == StatusCode::kUnavailable) {
     // Every variant of the kernel is withheld by an open breaker: answer
     // UNAVAILABLE without burning handler time (the caller may retry
     // after the cooldown lets a probe through).
-    const Clock::time_point now = Clock::now();
+    run.done = Clock::now();
     for (const PendingRequest& pending : batch.requests) {
-      metrics_.record_unavailable();
-      Response response;
-      response.id = pending.request.id;
-      response.status = selection.status();
-      response.latency_us = us_between(pending.request.enqueue_time, now);
-      response.batch_size = batch.size();
-      if (tracing && pending.request.span_id != 0) {
-        const std::uint64_t trace_id = pending.request.trace.trace_id;
-        const double t_enq = tracer->wall_us(pending.request.enqueue_time);
-        const double t_now = tracer->wall_us(now);
-        tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(),
-                     pending.request.span_id, t_enq,
-                     tracer->wall_us(dispatch_time), obs::kAutoTrack, "queue",
-                     "serve");
-        tracer->instant(obs::TimeDomain::kWall, trace_id, t_now,
-                        obs::kAutoTrack, "unavailable", "serve");
-        tracer->span(obs::TimeDomain::kWall, trace_id,
-                     pending.request.span_id,
-                     pending.request.trace.parent_span, t_enq, t_now,
-                     obs::kAutoTrack, "request", "serve",
-                     {{"outcome", "unavailable"}});
-      }
-      if (pending.on_done) pending.on_done(response);
-      finished_requests_.fetch_add(1, std::memory_order_acq_rel);
+      finish(pending, Outcome::kUnavailable, selection.status(), 0.0, run);
     }
     return;
   }
@@ -356,7 +343,7 @@ void Server::execute_batch(Batch batch) {
     handler_status = options_.fault_injector(batch, selection->variant);
     fault_injected = !handler_status.ok();
   }
-  const Clock::time_point exec_start = Clock::now();
+  run.exec_start = Clock::now();
   if (handler_status.ok()) {
     if (endpoint.variant_handler) {
       handler_status = endpoint.variant_handler(
@@ -365,35 +352,34 @@ void Server::execute_batch(Batch batch) {
       handler_status = endpoint.handler(batch, &values);
     }
   }
-  const Clock::time_point exec_end = Clock::now();
-  const double service_us = us_between(exec_start, exec_end);
+  run.exec_end = Clock::now();
+  run.service_us = us_between(run.exec_start, run.exec_end);
+  const double per_request_us =
+      run.service_us / static_cast<double>(batch.size());
 
   // Data-feature export (the JIT detector's input signal): per-request
   // shape/tenant tuples with each request's share of the batch's handler
   // time — hot (kernel, feature, tenant) tuples and their measured cost
   // become registry facts the detector can mine.
-  {
-    const double share_us = service_us / static_cast<double>(batch.size());
-    for (const PendingRequest& pending : batch.requests) {
-      metrics_.record_feature(batch.kernel, pending.request.tenant,
-                              pending.request.payload_scale, share_us);
-    }
+  for (const PendingRequest& pending : batch.requests) {
+    metrics_.record_feature(batch.kernel, pending.request.tenant,
+                            pending.request.payload_scale, per_request_us);
   }
   if (handler_status.ok() && values.size() != batch.size()) {
     handler_status = Internal("endpoint '" + batch.kernel + "' returned " +
                               std::to_string(values.size()) + " values for " +
                               std::to_string(batch.size()) + " requests");
   }
-  metrics_.record_batch(batch.size(), service_us);
+  metrics_.record_batch(batch.size());
   if (tracing && fault_injected) {
     // Injected variant failure: surface it on the timeline next to the
     // batch it poisoned.
     tracer->instant(obs::TimeDomain::kWall,
                     batch.requests.front().request.trace.trace_id,
-                    tracer->wall_us(exec_start), obs::kAutoTrack,
+                    tracer->wall_us(run.exec_start), obs::kAutoTrack,
                     "fault-injected", "resilience",
                     {{"kernel", batch.kernel},
-                     {"variant", variant_id}});
+                     {"variant", selection->variant.id}});
   }
 
   bool batch_degraded = false;
@@ -407,98 +393,113 @@ void Server::execute_batch(Batch batch) {
 
   // Close the Fig. 2 loop: feed the measured per-request cost back so the
   // next selection sees calibrated expectations.
-  if (!variant_id.empty() && handler_status.ok()) {
-    const double per_request_us =
-        service_us / static_cast<double>(batch.size());
-    tuner_.observe(batch.kernel, variant_id, per_request_us,
+  if (selection.ok() && handler_status.ok()) {
+    tuner_.observe(batch.kernel, selection->variant.id, per_request_us,
                    selection->predicted_energy_uj);
   }
 
-  const Clock::time_point done = Clock::now();
+  run.done = Clock::now();
+  const Outcome outcome = !handler_status.ok() ? Outcome::kFailed
+                          : batch_degraded     ? Outcome::kDegraded
+                                               : Outcome::kOk;
   for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-    const PendingRequest& pending = batch.requests[i];
-    Response response;
-    response.id = pending.request.id;
-    response.status = handler_status;
-    response.value = handler_status.ok() ? values[i] : 0.0;
-    response.latency_us = us_between(pending.request.enqueue_time, done);
-    response.service_us = service_us;
-    response.batch_size = batch.size();
-    response.variant_id = variant_id;
-    response.degraded = batch_degraded;
-    if (handler_status.ok()) {
-      metrics_.record_completion(pending.request.sla, response.latency_us);
-      if (batch_degraded) metrics_.record_degraded();
-    } else {
-      metrics_.record_failed();
-    }
-    if (tracing && pending.request.span_id != 0) {
-      const std::uint64_t trace_id = pending.request.trace.trace_id;
-      const std::uint64_t root = pending.request.span_id;
-      const double t_enq = tracer->wall_us(pending.request.enqueue_time);
-      const double t_disp = tracer->wall_us(dispatch_time);
-      const double t_exec0 = tracer->wall_us(exec_start);
-      const double t_exec1 = tracer->wall_us(exec_end);
-      const double t_done = tracer->wall_us(done);
+    finish(batch.requests[i], outcome, handler_status,
+           handler_status.ok() ? values[i] : 0.0, run);
+  }
+}
+
+void Server::finish(const PendingRequest& pending, Outcome outcome,
+                    Status status, double value, const BatchRun& run) {
+  static constexpr const char* kOutcomeNames[] = {"ok", "degraded", "failed",
+                                                  "expired", "unavailable"};
+  const char* outcome_name = kOutcomeNames[static_cast<int>(outcome)];
+  const bool executed = outcome <= Outcome::kFailed;
+  const Request& request = pending.request;
+  Response response;
+  response.id = request.id;
+  response.status = std::move(status);
+  response.value = value;
+  response.latency_us = us_between(request.enqueue_time, run.done);
+  response.service_us = run.service_us;
+  response.batch_size = run.size;
+  if (run.selection != nullptr) response.variant_id = run.selection->variant.id;
+  response.degraded = outcome == Outcome::kDegraded;
+  switch (outcome) {
+    case Outcome::kOk:
+    case Outcome::kDegraded:
+      metrics_.record_completion(request.sla, response.latency_us);
+      if (response.degraded) metrics_.record_degraded();
+      break;
+    case Outcome::kFailed: metrics_.record_failed(); break;
+    case Outcome::kExpired: metrics_.record_expired(); break;
+    case Outcome::kUnavailable: metrics_.record_unavailable(); break;
+  }
+
+  obs::Tracer* tracer = options_.tracer;
+  if (tracer != nullptr && tracer->enabled() && request.span_id != 0) {
+    const std::uint64_t trace_id = request.trace.trace_id;
+    const std::uint64_t root = request.span_id;
+    const double t_enq = tracer->wall_us(request.enqueue_time);
+    const double t_disp = tracer->wall_us(run.dispatch);
+    const double t_done = tracer->wall_us(run.done);
+    const auto child = [&](double from, double to, const char* name,
+                           obs::Annotations annotations = {}) {
       tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(), root,
-                   t_enq, t_disp, obs::kAutoTrack, "queue", "serve");
+                   from, to, obs::kAutoTrack, name, "serve",
+                   std::move(annotations));
+    };
+    child(t_enq, t_disp, "queue");
+    obs::Annotations request_ann = {{"outcome", outcome_name}};
+    if (executed) {
+      const double t_exec0 = tracer->wall_us(run.exec_start);
+      const double t_exec1 = tracer->wall_us(run.exec_end);
+      const std::string batch_size = std::to_string(run.size);
       // Batch formation + input staging + variant selection window.
-      tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(), root,
-                   t_disp, t_exec0, obs::kAutoTrack, "batch", "serve",
-                   {{"batch_size", std::to_string(batch.size())}});
-      obs::Annotations exec_ann = {
-          {"variant", variant_id},
-          {"batch_size", std::to_string(batch.size())}};
-      if (selection.ok()) {
+      child(t_disp, t_exec0, "batch", {{"batch_size", batch_size}});
+      obs::Annotations exec_ann = {{"variant", response.variant_id},
+                                   {"batch_size", batch_size}};
+      if (run.selection != nullptr) {
         // The autotuner's decision, attached where it took effect.
         exec_ann.emplace_back(
             "predicted_latency_us",
-            std::to_string(selection->predicted_latency_us));
+            std::to_string(run.selection->predicted_latency_us));
         exec_ann.emplace_back("constraints_met",
-                              selection->constraints_met ? "1" : "0");
+                              run.selection->constraints_met ? "1" : "0");
       }
-      tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(), root,
-                   t_exec0, t_exec1, obs::kAutoTrack, "execute", "serve",
-                   std::move(exec_ann));
-      tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(), root,
-                   t_exec1, t_done, obs::kAutoTrack, "reply", "serve");
-      tracer->span(
-          obs::TimeDomain::kWall, trace_id, root,
-          pending.request.trace.parent_span, t_enq, t_done,
-          obs::kAutoTrack, "request", "serve",
-          {{"outcome", handler_status.ok()
-                           ? (batch_degraded ? "degraded" : "ok")
-                           : "failed"},
-           {"sla", pending.request.sla == SlaClass::kLatencyCritical
-                       ? "lc"
-                       : "tp"}});
+      child(t_exec0, t_exec1, "execute", std::move(exec_ann));
+      child(t_exec1, t_done, "reply");
+      request_ann.emplace_back(
+          "sla", request.sla == SlaClass::kLatencyCritical ? "lc" : "tp");
+    } else {
+      // Never reached a handler: the outcome marks where it ended.
+      tracer->instant(obs::TimeDomain::kWall, trace_id, t_done,
+                      obs::kAutoTrack, outcome_name, "serve");
     }
-    if (pending.on_done) pending.on_done(response);
-    finished_requests_.fetch_add(1, std::memory_order_acq_rel);
+    tracer->span(obs::TimeDomain::kWall, trace_id, root,
+                 request.trace.parent_span, t_enq, t_done, obs::kAutoTrack,
+                 "request", "serve", std::move(request_ann));
+  }
+  if (pending.on_done) pending.on_done(response);
+  finished_requests_.fetch_add(1, std::memory_order_acq_rel);
+}
+
+void Server::await_finished() const {
+  // seq_cst reads: they pair with submit()'s count-then-check.
+  while (finished_requests_.load() < admitted_requests_.load()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 }
 
 void Server::drain() {
-  if (!running_.load()) return;
-  while (finished_requests_.load(std::memory_order_acquire) <
-         admitted_requests_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  if (running_.load()) await_finished();
 }
 
 std::uint64_t Server::drain_gracefully() {
   if (!running_.load()) return 0;
-  draining_.store(true, std::memory_order_release);
-  const std::uint64_t finished_at_seal =
-      finished_requests_.load(std::memory_order_acquire);
-  // Re-read admitted each pass: a submit that passed the draining check
-  // before the seal may still be incrementing it.
-  while (finished_requests_.load(std::memory_order_acquire) <
-         admitted_requests_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  const std::uint64_t drained =
-      finished_requests_.load(std::memory_order_acquire) - finished_at_seal;
+  draining_.store(true);
+  const std::uint64_t finished_at_seal = finished_requests_.load();
+  await_finished();
+  const std::uint64_t drained = finished_requests_.load() - finished_at_seal;
   EVEREST_LOG(kInfo, "serve")
       << "drained " << drained << " in-flight request(s)";
   return drained;
@@ -511,10 +512,7 @@ void Server::resume_admission() {
 void Server::stop() {
   if (!running_.exchange(false)) return;
   // Let admitted work finish, then unblock the dispatcher.
-  while (finished_requests_.load(std::memory_order_acquire) <
-         admitted_requests_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  await_finished();
   queue_->close();
   if (dispatcher_.joinable()) dispatcher_.join();
   pool_->wait_idle();

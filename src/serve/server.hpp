@@ -198,8 +198,18 @@ class Server {
   [[nodiscard]] double input_cache_resident_bytes() const;
 
  private:
+  enum class Outcome : std::uint8_t;
+  struct BatchRun;
+
   void dispatch_loop();
   void execute_batch(Batch batch);
+  /// The one exit of an admitted request: fills its Response from the
+  /// batch run, records the outcome metric, emits the span chain, invokes
+  /// the callback, and counts the request finished.
+  void finish(const PendingRequest& pending, Outcome outcome, Status status,
+              double value, const BatchRun& run);
+  /// Waits until every admitted request has had its response delivered.
+  void await_finished() const;
   /// Stages the batch's distinct data_keys through the input cache;
   /// returns the modelled stall (µs) the misses cost.
   double stage_batch_inputs(const Batch& batch);
@@ -233,7 +243,8 @@ class Server {
   std::atomic<std::size_t> inflight_batches_{0};
   /// Requests past admission vs. requests with a delivered response;
   /// equality is the drain condition (a queue/pool emptiness check would
-  /// miss requests held inside a forming batch).
+  /// miss requests held inside a forming batch). submit() counts a
+  /// request before it reads draining_ and takes it back on refusal.
   std::atomic<std::uint64_t> admitted_requests_{0};
   std::atomic<std::uint64_t> finished_requests_{0};
   std::atomic<bool> running_{false};

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/hash.hpp"
+
 namespace everest::storage {
 
 namespace {
@@ -176,15 +178,7 @@ Result<Catalog> Catalog::decode(std::string_view data) {
   return catalog;
 }
 
-std::uint64_t Catalog::fingerprint() const {
-  const std::string bytes = encode();
-  std::uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+std::uint64_t Catalog::fingerprint() const { return fnv1a(encode()); }
 
 std::string Catalog::to_string() const {
   std::size_t ram_entries = 0;

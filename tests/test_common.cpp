@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/graph.hpp"
+#include "common/hash.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -103,6 +104,18 @@ TEST(Result, AssignOrReturnMacro) {
   EXPECT_TRUE(use_half(8, &out).ok());
   EXPECT_EQ(out, 4);
   EXPECT_EQ(use_half(7, &out).code(), StatusCode::kInvalidArgument);
+}
+
+// ------------------------------------------------------------------ hash --
+
+TEST(Fnv1a, MatchesReferenceVectors) {
+  EXPECT_EQ(fnv1a(""), kFnv1aBasis);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
+  // Folding is incremental, and fnv1a_u64 hashes little-endian bytes.
+  EXPECT_EQ(fnv1a("b", fnv1a("a")), fnv1a("ab"));
+  EXPECT_EQ(fnv1a_u64(0x0102030405060708ULL),
+            fnv1a(std::string_view("\x08\x07\x06\x05\x04\x03\x02\x01", 8)));
 }
 
 // ------------------------------------------------------------------- Rng --

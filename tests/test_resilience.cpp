@@ -440,6 +440,13 @@ FaultPlan plan_for(FaultKind kind) {
     case FaultKind::kReconfigFail:
       plan.reconfig_failure(0, 0.0, 2e5, 0.5);
       break;
+    case FaultKind::kDiskIoError:
+    case FaultKind::kDiskIoFull:
+    case FaultKind::kDiskIoCorrupt:
+    case FaultKind::kDiskIoSlow:
+      // Disk faults act on storage::Env, which the workflow simulator
+      // never touches: the plan stays empty.
+      break;
   }
   return plan;
 }

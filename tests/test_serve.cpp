@@ -1,12 +1,17 @@
 // Tests for the serving layer: queue admission/backpressure, SLA-priority
 // ordering, batch-formation boundaries (size-1 timeout flush, full-batch
-// flush), deadline expiry, thread-pool basics, metrics, a TEST_P sweep
-// over SLA mixes, and a multi-producer smoke test asserting no request is
-// lost or duplicated. Timing assertions are deliberately loose: CI may
+// flush), deadline expiry, thread-pool basics, metrics and their bounded
+// memory, a TEST_P sweep over SLA mixes, a multi-producer smoke test
+// asserting no request is lost or duplicated, the response and span
+// chain of every request outcome, and the drain contract under a
+// drain/resume hammer. Timing assertions are deliberately loose: CI may
 // run on one core, so tests check ordering and accounting, not speed.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <fstream>
+#include <map>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -217,8 +222,8 @@ TEST(ServingMetrics, SnapshotAggregates) {
   metrics.record_submitted();
   metrics.record_admitted(3);
   metrics.record_rejected();
-  metrics.record_batch(4, 1000.0);
-  metrics.record_batch(2, 500.0);
+  metrics.record_batch(4);
+  metrics.record_batch(2);
   for (int i = 1; i <= 100; ++i) {
     metrics.record_completion(SlaClass::kThroughput, i * 10.0);
   }
@@ -235,6 +240,40 @@ TEST(ServingMetrics, SnapshotAggregates) {
   EXPECT_EQ(snap.max_queue_depth, 3u);
   metrics.reset();
   EXPECT_EQ(metrics.snapshot().submitted, 0u);
+}
+
+/// This process's resident set size in kB (VmRSS in /proc/self/status).
+long resident_kb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+TEST(ServingMetrics, TenMillionCompletionsKeepResidentMemoryBounded) {
+  ServingMetrics metrics;
+  (void)metrics.snapshot();
+  const long before_kb = resident_kb();
+  ASSERT_GT(before_kb, 0);
+  // Latencies uniform over 1..1000 µs, one in five latency-critical.
+  constexpr std::uint64_t kCompletions = 10'000'000;
+  for (std::uint64_t i = 0; i < kCompletions; ++i) {
+    metrics.record_completion(
+        i % 5 == 0 ? SlaClass::kLatencyCritical : SlaClass::kThroughput,
+        static_cast<double>(1 + i % 1000));
+  }
+  const long grown_kb = resident_kb() - before_kb;
+  EXPECT_LT(grown_kb, 8 * 1024) << "resident memory grew by " << grown_kb
+                                << " kB over " << kCompletions
+                                << " completions";
+  const MetricsSnapshot snap = metrics.snapshot();
+  const obs::HistogramSnapshot hist = metrics.latency_histogram();
+  EXPECT_EQ(snap.completed, kCompletions);
+  EXPECT_NEAR(snap.p50_us, 500.0, hist.bucket_width_at(50.0));
+  EXPECT_NEAR(snap.p99_us, 990.0, hist.bucket_width_at(99.0));
+  EXPECT_NEAR(snap.lc_p99_us, 990.0, hist.bucket_width_at(99.0));
+  EXPECT_NEAR(snap.tp_p99_us, 990.0, hist.bucket_width_at(99.0));
 }
 
 // --------------------------------------------------------------- server
@@ -616,6 +655,231 @@ TEST(Server, DegradedModeShedsThroughputClassAtAdmission) {
   EXPECT_GE(server.metrics().snapshot().unavailable, 2u);
 }
 
+// ------------------------------------------- per-outcome span chains
+
+/// The events of one trace, indexed by name (each name occurs once per
+/// request chain).
+struct Chain {
+  std::map<std::string, obs::TraceEvent> spans;
+  std::map<std::string, obs::TraceEvent> instants;
+};
+
+Chain chain_of(const std::vector<obs::TraceEvent>& events,
+               std::uint64_t trace_id) {
+  Chain chain;
+  for (const obs::TraceEvent& event : events) {
+    if (event.trace_id != trace_id) continue;
+    auto& slot = event.kind == obs::TraceEvent::Kind::kSpan ? chain.spans
+                                                            : chain.instants;
+    EXPECT_TRUE(slot.emplace(event.name, event).second)
+        << "trace " << trace_id << " repeats " << event.name;
+  }
+  return chain;
+}
+
+/// Root "request" span plus its "queue" child, common to every outcome:
+/// the root parents under the propagated trace context and starts where
+/// the queue span starts; the response latency is the root's duration.
+void expect_root_and_queue(const Chain& chain, std::uint64_t parent_span,
+                           const obs::Annotations& outcome,
+                           const Response& response) {
+  ASSERT_EQ(chain.spans.count("request"), 1u);
+  ASSERT_EQ(chain.spans.count("queue"), 1u);
+  const obs::TraceEvent& request = chain.spans.at("request");
+  const obs::TraceEvent& queue = chain.spans.at("queue");
+  EXPECT_EQ(request.parent_id, parent_span);
+  EXPECT_EQ(request.component, "serve");
+  EXPECT_EQ(request.annotations, outcome);
+  EXPECT_EQ(queue.parent_id, request.span_id);
+  EXPECT_EQ(queue.component, "serve");
+  EXPECT_TRUE(queue.annotations.empty());
+  EXPECT_EQ(queue.start_us, request.start_us);
+  EXPECT_LE(queue.start_us, queue.end_us);
+  EXPECT_LE(queue.end_us, request.end_us);
+  EXPECT_NEAR(response.latency_us, request.duration_us(), 0.01);
+}
+
+/// Chain of a request that never reached a handler: queue + root, and an
+/// instant named after the outcome where the root ends.
+void expect_dropped_chain(const Chain& chain, std::uint64_t parent_span,
+                          const std::string& outcome,
+                          const Response& response) {
+  expect_root_and_queue(chain, parent_span, {{"outcome", outcome}}, response);
+  EXPECT_EQ(chain.spans.size(), 2u);
+  ASSERT_EQ(chain.instants.size(), 1u);
+  ASSERT_EQ(chain.instants.count(outcome), 1u);
+  const obs::TraceEvent& instant = chain.instants.at(outcome);
+  EXPECT_EQ(instant.component, "serve");
+  EXPECT_TRUE(instant.annotations.empty());
+  EXPECT_EQ(instant.start_us, chain.spans.at("request").end_us);
+}
+
+/// Chain of an executed request: queue → batch → execute → reply tile
+/// the root span end to end, each child parented under the root.
+void expect_executed_chain(const Chain& chain, std::uint64_t parent_span,
+                           const std::string& outcome, const std::string& sla,
+                           const std::string& variant,
+                           const Response& response) {
+  expect_root_and_queue(chain, parent_span,
+                        {{"outcome", outcome}, {"sla", sla}}, response);
+  ASSERT_EQ(chain.spans.size(), 5u);
+  const obs::TraceEvent& request = chain.spans.at("request");
+  const obs::TraceEvent& queue = chain.spans.at("queue");
+  const obs::TraceEvent& batch = chain.spans.at("batch");
+  const obs::TraceEvent& execute = chain.spans.at("execute");
+  const obs::TraceEvent& reply = chain.spans.at("reply");
+  for (const obs::TraceEvent* child : {&batch, &execute, &reply}) {
+    EXPECT_EQ(child->parent_id, request.span_id) << child->name;
+    EXPECT_EQ(child->component, "serve") << child->name;
+    EXPECT_LE(child->start_us, child->end_us) << child->name;
+  }
+  EXPECT_EQ(batch.start_us, queue.end_us);
+  EXPECT_EQ(execute.start_us, batch.end_us);
+  EXPECT_EQ(reply.start_us, execute.end_us);
+  EXPECT_EQ(request.end_us, reply.end_us);
+  EXPECT_EQ(batch.annotations, (obs::Annotations{{"batch_size", "1"}}));
+  EXPECT_TRUE(reply.annotations.empty());
+  // The autotuner's decision: the variant, then its prediction.
+  ASSERT_EQ(execute.annotations.size(), 4u);
+  EXPECT_EQ(execute.annotations[0], (std::pair<std::string, std::string>(
+                                        "variant", variant)));
+  EXPECT_EQ(execute.annotations[1], (std::pair<std::string, std::string>(
+                                        "batch_size", "1")));
+  EXPECT_EQ(execute.annotations[2].first, "predicted_latency_us");
+  EXPECT_EQ(execute.annotations[3].first, "constraints_met");
+}
+
+TEST(Server, EveryOutcomeEmitsItsResponseAndSpanChain) {
+  obs::TracerConfig tcfg;
+  tcfg.enabled = true;
+  obs::Tracer tracer(tcfg);
+  runtime::KnowledgeBase kb;
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.tracer = &tracer;
+  options.breaker.failure_threshold = 1;
+  options.breaker.open_cooldown_us = 1e12;  // no half-open probe in-test
+  // FPGA variants always fail (a dead slot), and so does every variant of
+  // "lone_kernel": one failure trips its only variant's breaker.
+  options.fault_injector = [](const Batch& batch, const compiler::Variant& v) {
+    if (v.target == compiler::TargetKind::kFpga ||
+        batch.kernel == "lone_kernel") {
+      return Unavailable("injected: variant failed");
+    }
+    return OkStatus();
+  };
+  Server server(options, &kb);
+  ASSERT_TRUE(server.register_endpoint(test_endpoint()).ok());
+  ASSERT_TRUE(server.register_endpoint(dual_variant_endpoint()).ok());
+  ASSERT_TRUE(server.register_endpoint(test_endpoint("lone_kernel")).ok());
+  ASSERT_TRUE(server.start().ok());
+
+  // One request per batch, each on its own propagated trace so its chain
+  // is found by trace id and its root parents under trace_id + 1.
+  constexpr std::uint64_t kOk = 1'000'000, kExpired = 2'000'000,
+                          kFailed = 3'000'000, kDegraded = 4'000'000,
+                          kTripLone = 5'000'000, kUnavailable = 6'000'000;
+  std::mutex mu;
+  std::map<std::uint64_t, Response> responses;
+  const auto send = [&](const std::string& kernel, SlaClass sla,
+                        std::uint64_t trace_id,
+                        Clock::time_point deadline = Clock::time_point::max()) {
+    Request request;
+    request.kernel = kernel;
+    request.sla = sla;
+    request.seed = 7;
+    request.deadline = deadline;
+    request.trace = obs::TraceContext{trace_id, trace_id + 1};
+    ASSERT_TRUE(server
+                    .submit(request,
+                            [&, trace_id](const Response& response) {
+                              std::lock_guard<std::mutex> lock(mu);
+                              responses[trace_id] = response;
+                            })
+                    .ok());
+    server.drain();
+  };
+  send("test_kernel", SlaClass::kThroughput, kOk);
+  send("test_kernel", SlaClass::kThroughput, kExpired,
+       Clock::now() - std::chrono::milliseconds(1));
+  send("dual_kernel", SlaClass::kThroughput, kFailed);  // FPGA picked, vetoed
+  send("dual_kernel", SlaClass::kLatencyCritical, kDegraded);  // CPU fallback
+  send("lone_kernel", SlaClass::kLatencyCritical, kTripLone);
+  send("lone_kernel", SlaClass::kLatencyCritical, kUnavailable);
+  server.stop();
+  const std::vector<obs::TraceEvent> events = tracer.collect();
+  ASSERT_EQ(responses.size(), 6u);
+
+  const Response& ok = responses.at(kOk);
+  EXPECT_TRUE(ok.status.ok());
+  EXPECT_EQ(ok.value, 7.0);
+  EXPECT_EQ(ok.batch_size, 1u);
+  EXPECT_EQ(ok.variant_id, "test_kernel-cpu");
+  EXPECT_FALSE(ok.degraded);
+  EXPECT_GT(ok.latency_us, 0.0);
+  const Chain ok_chain = chain_of(events, kOk);
+  expect_executed_chain(ok_chain, kOk + 1, "ok", "tp", "test_kernel-cpu", ok);
+  EXPECT_TRUE(ok_chain.instants.empty());
+
+  const Response& degraded = responses.at(kDegraded);
+  EXPECT_TRUE(degraded.status.ok());
+  EXPECT_EQ(degraded.value, 7.0);
+  EXPECT_EQ(degraded.batch_size, 1u);
+  EXPECT_EQ(degraded.variant_id, "dual_kernel-cpu");
+  EXPECT_TRUE(degraded.degraded);
+  EXPECT_GT(degraded.latency_us, 0.0);
+  const Chain degraded_chain = chain_of(events, kDegraded);
+  expect_executed_chain(degraded_chain, kDegraded + 1, "degraded", "lc",
+                        "dual_kernel-cpu", degraded);
+  EXPECT_TRUE(degraded_chain.instants.empty());
+
+  const Response& failed = responses.at(kFailed);
+  EXPECT_EQ(failed.status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(failed.value, 0.0);
+  EXPECT_EQ(failed.batch_size, 1u);
+  EXPECT_EQ(failed.variant_id, "dual_kernel-fpga");
+  EXPECT_FALSE(failed.degraded);
+  EXPECT_GT(failed.latency_us, 0.0);
+  const Chain failed_chain = chain_of(events, kFailed);
+  expect_executed_chain(failed_chain, kFailed + 1, "failed", "tp",
+                        "dual_kernel-fpga", failed);
+  ASSERT_EQ(failed_chain.instants.size(), 1u);
+  ASSERT_EQ(failed_chain.instants.count("fault-injected"), 1u);
+  const obs::TraceEvent& fault = failed_chain.instants.at("fault-injected");
+  EXPECT_EQ(fault.component, "resilience");
+  EXPECT_EQ(fault.start_us, failed_chain.spans.at("execute").start_us);
+  EXPECT_EQ(fault.annotations,
+            (obs::Annotations{{"kernel", "dual_kernel"},
+                              {"variant", "dual_kernel-fpga"}}));
+
+  const Response& expired = responses.at(kExpired);
+  EXPECT_EQ(expired.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(expired.batch_size, 0u);
+  EXPECT_EQ(expired.variant_id, "");
+  EXPECT_FALSE(expired.degraded);
+  EXPECT_GT(expired.latency_us, 0.0);
+  const Chain expired_chain = chain_of(events, kExpired);
+  expect_dropped_chain(expired_chain, kExpired + 1, "expired", expired);
+  EXPECT_EQ(expired_chain.spans.at("queue").end_us,
+            expired_chain.spans.at("request").end_us);
+
+  const Response& unavailable = responses.at(kUnavailable);
+  EXPECT_EQ(unavailable.status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(unavailable.batch_size, 1u);
+  EXPECT_EQ(unavailable.variant_id, "");
+  EXPECT_FALSE(unavailable.degraded);
+  EXPECT_GT(unavailable.latency_us, 0.0);
+  expect_dropped_chain(chain_of(events, kUnavailable), kUnavailable + 1,
+                       "unavailable", unavailable);
+
+  const MetricsSnapshot snap = server.metrics().snapshot();
+  EXPECT_EQ(snap.completed, 2u);  // ok + degraded
+  EXPECT_EQ(snap.degraded, 1u);
+  EXPECT_EQ(snap.failed, 2u);  // the FPGA veto + the veto tripping lone
+  EXPECT_EQ(snap.expired, 1u);
+  EXPECT_EQ(snap.unavailable, 1u);
+}
+
 // ----------------------------------------- real use-case endpoint smoke
 
 // ---------------------------------------------------------- input cache
@@ -857,15 +1121,8 @@ TEST(Server, GracefulDrainSealsAdmissionAndDeliversEveryAdmitted) {
   EXPECT_TRUE(server.draining());
   for (std::thread& t : producers) t.join();
 
-  // Everything admitted was delivered; nothing snuck in after. A submit
-  // racing the seal may be admitted just after drain_gracefully's
-  // fixpoint read, so its delivery can trail the drain by a moment —
-  // poll briefly before asserting the books balance.
-  const auto books = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (delivered.load() != accepted.load() &&
-         std::chrono::steady_clock::now() < books) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // Everything admitted was delivered by the time the drain returned;
+  // nothing snuck in after.
   EXPECT_EQ(delivered.load(), accepted.load());
   EXPECT_GT(delivered.load(), 0u);
   EXPECT_GT(drained, 0u);  // the drain overlapped in-flight work
@@ -915,6 +1172,61 @@ TEST(Server, GracefulDrainOnIdleServerReturnsZero) {
   server.stop();
   // Not running: a no-op, not a hang.
   EXPECT_EQ(server.drain_gracefully(), 0u);
+}
+
+TEST(Server, DrainResumeHammerDeliversNothingWhileSealed) {
+  runtime::KnowledgeBase kb;
+  ServerOptions options;
+  options.worker_threads = 2;
+  options.batch.max_wait = std::chrono::microseconds(0);  // prompt delivery
+  // Declared before the server so they outlive every callback.
+  std::atomic<bool> sealed{false};
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> late{0};
+  std::array<std::atomic<std::uint64_t>, 3> replies{};
+  Server server(options, &kb);
+  ASSERT_TRUE(server.register_endpoint(test_endpoint()).ok());
+  ASSERT_TRUE(server.start().ok());
+
+  // Closed-loop producers, one request outstanding each, so the server is
+  // often idle when a seal lands while a submit is mid-admission.
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < replies.size(); ++p) {
+    producers.emplace_back([&, p] {
+      for (std::uint64_t sent = 0; !stop.load();) {
+        Request request;
+        request.kernel = "test_kernel";
+        request.seed = sent;
+        const Status st = server.submit(request, [&, p](const Response&) {
+          if (sealed.load()) late.fetch_add(1);
+          replies[p].fetch_add(1);
+          replies[p].notify_one();
+        });
+        if (!st.ok()) {
+          std::this_thread::yield();  // sealed: retry after the resume
+          continue;
+        }
+        ++sent;
+        for (std::uint64_t seen; (seen = replies[p].load()) < sent;) {
+          replies[p].wait(seen);
+        }
+      }
+    });
+  }
+  // After drain_gracefully() returns, every admitted request has been
+  // delivered, so no callback may fire until admission resumes.
+  for (int cycle = 0; cycle < 3000; ++cycle) {
+    (void)server.drain_gracefully();
+    sealed.store(true);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    sealed.store(false);
+    server.resume_admission();
+  }
+  stop.store(true);
+  for (std::thread& t : producers) t.join();
+  server.stop();
+  EXPECT_EQ(late.load(), 0u);
+  EXPECT_GT(replies[0].load() + replies[1].load() + replies[2].load(), 0u);
 }
 
 // ------------------------------------------- loadgen submit-fn plumbing

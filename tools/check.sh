@@ -16,14 +16,16 @@
 #      I/O-error-path-heavy test binaries (storage, data): fault
 #      injection exercises every short-write/EIO/ENOSPC cleanup path,
 #      and ASan proves none of them leaks or double-frees.
-# Any failure aborts the script with a non-zero exit.
+# Every build compiles with -Werror (set through CMAKE_CXX_FLAGS, so the
+# project itself gains no option). Any failure aborts the script with a
+# non-zero exit.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${JOBS:-$(nproc)}"
 
 echo "=== [1/5] tier-1: configure + build + ctest ==="
-cmake -B "$ROOT/build" -S "$ROOT" >/dev/null
+cmake -B "$ROOT/build" -S "$ROOT" -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$ROOT/build" -j "$JOBS"
 (cd "$ROOT/build" && ctest --output-on-failure -j "$JOBS")
 
@@ -62,7 +64,8 @@ fi
 
 echo
 echo "=== [4/5] TSan: serve + obs + data + cluster + storage + stream + jit + runtime tests ==="
-cmake -B "$ROOT/build-tsan" -S "$ROOT" -DEVEREST_SANITIZE=thread >/dev/null
+cmake -B "$ROOT/build-tsan" -S "$ROOT" -DEVEREST_SANITIZE=thread \
+  -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$ROOT/build-tsan" -j "$JOBS" \
   --target test_serve test_obs test_data test_cluster test_storage test_stream \
   test_jit test_runtime
@@ -71,7 +74,8 @@ cmake --build "$ROOT/build-tsan" -j "$JOBS" \
 
 echo
 echo "=== [5/5] ASan: storage + data tests (fault-injection leak check) ==="
-cmake -B "$ROOT/build-asan" -S "$ROOT" -DEVEREST_SANITIZE=address >/dev/null
+cmake -B "$ROOT/build-asan" -S "$ROOT" -DEVEREST_SANITIZE=address \
+  -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_storage test_data
 (cd "$ROOT/build-asan" && ctest --output-on-failure -j "$JOBS" \
   -R 'test_storage|test_data')
