@@ -29,7 +29,10 @@ bool Batcher::next_batch(Batch* out) {
     }
     const Clock::time_point now = Clock::now();
     if (now >= flush_at || queue_->closed()) break;  // size-1 flush on timeout
-    // Brief nap bounded by the remaining wait budget; keeps the dispatcher
+    // Work-conserving: incompatible work is queued, so waiting for a fuller
+    // batch would idle this worker while that work waits too.
+    if (queue_->size() != 0) break;
+    // Brief nap bounded by the remaining wait budget; keeps the worker
     // from spinning while letting near-simultaneous arrivals coalesce.
     const auto remaining =
         std::chrono::duration_cast<std::chrono::microseconds>(flush_at - now);

@@ -35,7 +35,7 @@ struct Batch {
 
 /// Pulls from a RequestQueue and forms batches. Any number of threads may
 /// call next_batch() concurrently (the queue is the synchronization
-/// point); in the server one dispatcher thread drives it.
+/// point); in the server every worker thread drives it.
 class Batcher {
  public:
   Batcher(RequestQueue* queue, BatchPolicy policy)
@@ -44,7 +44,8 @@ class Batcher {
   /// Blocks until a batch is available or the queue is closed and empty.
   /// Returns false only on shutdown. The first popped request opens the
   /// batch; compatible requests already queued (or arriving within
-  /// max_wait) join until the class's size cap is hit.
+  /// max_wait) join until the class's size cap is hit. The wait for
+  /// arrivals ends early once only incompatible requests are queued.
   bool next_batch(Batch* out);
 
   [[nodiscard]] const BatchPolicy& policy() const { return policy_; }

@@ -66,7 +66,7 @@ struct MetricsSnapshot {
   }
 };
 
-/// Thread-safe metrics sink shared by admission, dispatcher, and workers.
+/// Thread-safe metrics sink shared by admission and the worker threads.
 class ServingMetrics {
  public:
   ServingMetrics();

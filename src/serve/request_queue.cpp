@@ -12,10 +12,12 @@ std::string_view to_string(SlaClass sla) {
   return "?";
 }
 
-Status RequestQueue::push(PendingRequest pending) {
+Status RequestQueue::push(PendingRequest&& pending, std::size_t* depth) {
   const int lane = static_cast<int>(pending.request.sla);
-  const std::string label = "request '" + pending.request.kernel + "'";
-  return TwoLaneQueue<PendingRequest>::push(std::move(pending), lane, label);
+  // The base moves `pending` only once admitted, and reads the kernel name
+  // only to word a rejection.
+  return TwoLaneQueue<PendingRequest>::push(std::move(pending), lane, "request",
+                                            pending.request.kernel, depth);
 }
 
 std::optional<PendingRequest> RequestQueue::pop_compatible(

@@ -18,6 +18,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/status.hpp"
 #include "serve/request.hpp"
@@ -33,8 +34,11 @@ class TwoLaneQueue {
 
   /// Admission: enqueues into `lane` (0 = priority, 1 = bulk) or rejects
   /// with RESOURCE_EXHAUSTED when full, FAILED_PRECONDITION when closed.
-  /// `label` names the rejected item in the error message. Never blocks.
-  Status push(T item, int lane, const std::string& label) {
+  /// A rejected `item` is left as it was, and the error message names it
+  /// as `what` '`name`'. On admission `*depth`, if given, is the queue
+  /// depth counting `item`. Never blocks.
+  Status push(T&& item, int lane, std::string_view what, std::string_view name,
+              std::size_t* depth = nullptr) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_) {
@@ -42,9 +46,11 @@ class TwoLaneQueue {
       }
       if (total_locked() >= capacity_) {
         return ResourceExhausted("queue full (" + std::to_string(capacity_) +
-                                 " pending), " + label + " rejected");
+                                 " pending), " + std::string(what) + " '" +
+                                 std::string(name) + "' rejected");
       }
       lanes_[lane == 0 ? 0 : 1].push_back(std::move(item));
+      if (depth != nullptr) *depth = total_locked();
     }
     cv_.notify_one();
     return OkStatus();
@@ -114,8 +120,9 @@ class RequestQueue : public TwoLaneQueue<PendingRequest> {
       : TwoLaneQueue<PendingRequest>(capacity) {}
 
   /// Admission: enqueues or rejects with RESOURCE_EXHAUSTED when full,
-  /// FAILED_PRECONDITION when closed. Never blocks the producer.
-  Status push(PendingRequest pending);
+  /// FAILED_PRECONDITION when closed. On admission `*depth`, if given, is
+  /// the queue depth counting this request. Never blocks the producer.
+  Status push(PendingRequest&& pending, std::size_t* depth = nullptr);
 
   /// Pops the oldest queued request for `kernel` in `sla` class, if any.
   /// Non-blocking; used by the batcher to coalesce compatible requests.

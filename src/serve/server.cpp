@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -29,6 +30,7 @@ Server::Server(ServerOptions options, runtime::KnowledgeBase* kb)
       breakers_(options.breaker),
       breaker_epoch_(Clock::now()),
       input_cache_(options.input_cache) {
+  options_.worker_threads = std::max<std::size_t>(1, options_.worker_threads);
   queue_ = std::make_unique<RequestQueue>(options_.queue_capacity);
   batcher_ = std::make_unique<Batcher>(queue_.get(), options_.batch);
 }
@@ -124,8 +126,9 @@ Status Server::start() {
     running_.store(false);
     return FailedPrecondition("no endpoints registered");
   }
-  pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  for (std::size_t i = 0; i < options_.worker_threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
   EVEREST_LOG(kInfo, "serve") << "server started: " << endpoints_.size()
                               << " endpoints, " << options_.worker_threads
                               << " workers, queue capacity "
@@ -145,6 +148,7 @@ Status Server::submit(Request request, ResponseCallback on_done) {
   admitted_requests_.fetch_add(1);
   const auto refuse = [this](Status status) {
     admitted_requests_.fetch_sub(1);
+    notify_finished();
     return status;
   };
   if (draining_.load()) {
@@ -189,37 +193,25 @@ Status Server::submit(Request request, ResponseCallback on_done) {
     }
   }
   PendingRequest pending{std::move(request), std::move(on_done)};
-  const Status admitted = queue_->push(std::move(pending));
+  std::size_t depth = 0;
+  const Status admitted = queue_->push(std::move(pending), &depth);
   if (!admitted.ok()) {
     metrics_.record_rejected();
     return refuse(admitted);
   }
-  metrics_.record_admitted(queue_->size());
+  metrics_.record_admitted(depth);
   return OkStatus();
 }
 
-void Server::dispatch_loop() {
-  // At most 2 batches per worker may be in flight (executing or handed to
-  // the pool). Without this cap the dispatcher would drain the bounded
-  // admission queue into the pool's unbounded task queue, hiding the
-  // backlog from admission control and unbounding p99 under overload.
-  const std::size_t max_inflight = 2 * options_.worker_threads;
+void Server::worker_loop() {
+  // A worker takes a batch only when it can run it at once: requests wait
+  // in the admission queue, where capacity rejection, SLA-priority popping
+  // and deadline aging all still apply, never in a second queue behind it.
   Batch batch;
-  for (;;) {
-    // Backpressure first, batch formation second: while the pool is busy,
-    // requests wait in the admission queue, where capacity rejection,
-    // SLA-priority popping, and deadline aging all still apply.
-    while (inflight_batches_.load(std::memory_order_acquire) >=
-           max_inflight) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    if (!batcher_->next_batch(&batch)) break;
-    inflight_batches_.fetch_add(1, std::memory_order_acq_rel);
-    pool_->submit([this, moved = std::move(batch)]() mutable {
-      execute_batch(std::move(moved));
-      inflight_batches_.fetch_sub(1, std::memory_order_acq_rel);
-    });
-    batch = Batch{};
+  while (batcher_->next_batch(&batch)) {
+    executing_batches_.fetch_add(1, std::memory_order_relaxed);
+    execute_batch(std::move(batch));
+    executing_batches_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -280,14 +272,19 @@ void Server::execute_batch(Batch batch) {
   }
 
   // Variant selection for the whole batch under the live system state
-  // (shared knowledge base; its internal mutex makes this reentrant).
+  // (shared knowledge base; its internal mutex makes this reentrant). The
+  // load signals count batches: this one and the others executing, plus
+  // the batches the queued requests would form, up to one per worker.
+  const double workers = static_cast<double>(options_.worker_threads);
+  const double waiting = std::min(
+      workers, std::ceil(static_cast<double>(queue_->size()) /
+                         static_cast<double>(options_.batch.max_batch)));
   runtime::SystemState state;
   state.fpgas_available = options_.fpgas_available;
   state.fpga_queue_depth =
-      static_cast<double>(inflight_batches_.load(std::memory_order_acquire));
-  state.cpu_load =
-      std::min(0.95, static_cast<double>(pool_->pending()) /
-                         static_cast<double>(pool_->thread_count() + 1));
+      static_cast<double>(executing_batches_.load(std::memory_order_relaxed)) +
+      waiting;
+  state.cpu_load = std::min(0.95, waiting / (workers + 1.0));
   double scale = 0.0;
   for (const PendingRequest& pending : batch.requests) {
     scale += pending.request.payload_scale;
@@ -480,14 +477,29 @@ void Server::finish(const PendingRequest& pending, Outcome outcome,
                  "request", "serve", std::move(request_ann));
   }
   if (pending.on_done) pending.on_done(response);
-  finished_requests_.fetch_add(1, std::memory_order_acq_rel);
+  finished_requests_.fetch_add(1);
+  notify_finished();
 }
 
-void Server::await_finished() const {
-  // seq_cst reads: they pair with submit()'s count-then-check.
-  while (finished_requests_.load() < admitted_requests_.load()) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+void Server::notify_finished() {
+  // seq_cst: a waiter registers before it reads the counts, and the
+  // caller changed a count before this read, so either the waiter sees
+  // the new count or this sees the waiter.
+  if (finish_waiters_.load() == 0) return;
+  { std::lock_guard<std::mutex> lock(finish_mu_); }
+  finish_cv_.notify_all();
+}
+
+void Server::await_finished() {
+  finish_waiters_.fetch_add(1);
+  {
+    // seq_cst reads: they pair with submit()'s count-then-check.
+    std::unique_lock<std::mutex> lock(finish_mu_);
+    finish_cv_.wait(lock, [this] {
+      return finished_requests_.load() >= admitted_requests_.load();
+    });
   }
+  finish_waiters_.fetch_sub(1);
 }
 
 void Server::drain() {
@@ -511,12 +523,10 @@ void Server::resume_admission() {
 
 void Server::stop() {
   if (!running_.exchange(false)) return;
-  // Let admitted work finish, then unblock the dispatcher.
+  // Let admitted work finish, then release the workers from the queue.
   await_finished();
   queue_->close();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  pool_->wait_idle();
-  pool_->shutdown();
+  for (std::thread& worker : workers_) worker.join();
   EVEREST_LOG(kInfo, "serve") << "server stopped";
 }
 

@@ -1,21 +1,25 @@
 // The serving front door over the EVEREST runtime (the Fig. 2 loop under
-// concurrent traffic): submit() applies admission control and enqueues; a
-// dispatcher thread forms batches per the coalescing policy; a worker
-// pool executes batches — each batch runs the mARGOt-style autotuner to
-// pick a variant for the batch's kernel under the *live* system state
-// (queue depth, worker occupancy), executes the endpoint handler for
-// real, and feeds the measured service time back into the shared
-// knowledge base. SLA classes steer both batching (latency-critical
-// batches stay small and jump the queue) and deadline handling (expired
-// requests are dropped at dispatch, not executed late).
+// concurrent traffic): submit() applies admission control and enqueues
+// into the one admission queue; each worker thread pulls a batch from it
+// per the coalescing policy and executes it — each batch runs the
+// mARGOt-style autotuner to pick a variant for the batch's kernel under
+// the *live* system state (queue depth, executing batches), executes the
+// endpoint handler for real, and feeds the measured service time back
+// into the shared knowledge base. A worker holds at most one batch
+// outside the queue, so the queue's capacity bounds all buffered work.
+// SLA classes steer both batching (latency-critical batches stay small
+// and jump the queue) and deadline handling (expired requests are
+// dropped at dispatch, not executed late).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "data/cache.hpp"
 #include "obs/trace.hpp"
@@ -27,7 +31,6 @@
 #include "serve/endpoints.hpp"
 #include "serve/metrics.hpp"
 #include "serve/request_queue.hpp"
-#include "serve/thread_pool.hpp"
 
 namespace everest::serve {
 
@@ -112,7 +115,8 @@ class Server {
   /// knowledge base. Must be called before start().
   Status register_endpoint(Endpoint endpoint);
 
-  /// Spins up the dispatcher and the worker pool.
+  /// Starts worker_threads workers, each looping: pull a batch from the
+  /// admission queue, execute it.
   Status start();
 
   /// Admission: stamps id/enqueue time and enqueues. Returns
@@ -142,7 +146,7 @@ class Server {
     return draining_.load(std::memory_order_acquire);
   }
 
-  /// drain() + stop dispatcher + join workers (idempotent).
+  /// drain() + close the queue + join the workers (idempotent).
   void stop();
 
   [[nodiscard]] const ServingMetrics& metrics() const { return metrics_; }
@@ -201,7 +205,7 @@ class Server {
   enum class Outcome : std::uint8_t;
   struct BatchRun;
 
-  void dispatch_loop();
+  void worker_loop();
   void execute_batch(Batch batch);
   /// The one exit of an admitted request: fills its Response from the
   /// batch run, records the outcome metric, emits the span chain, invokes
@@ -209,7 +213,10 @@ class Server {
   void finish(const PendingRequest& pending, Outcome outcome, Status status,
               double value, const BatchRun& run);
   /// Waits until every admitted request has had its response delivered.
-  void await_finished() const;
+  void await_finished();
+  /// Wakes await_finished() callers, if any; called after every change to
+  /// admitted_requests_ or finished_requests_ that can end their wait.
+  void notify_finished();
   /// Stages the batch's distinct data_keys through the input cache;
   /// returns the modelled stall (µs) the misses cost.
   double stage_batch_inputs(const Batch& batch);
@@ -223,8 +230,6 @@ class Server {
 
   std::unique_ptr<RequestQueue> queue_;
   std::unique_ptr<Batcher> batcher_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread dispatcher_;
 
   resilience::CircuitBreakerBoard breakers_;
   std::atomic<bool> degraded_{false};
@@ -240,15 +245,23 @@ class Server {
 
   ServingMetrics metrics_;
   std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<std::size_t> inflight_batches_{0};
+  /// Batches workers have pulled and not yet finished (the autotuner's
+  /// accelerator-queue signal).
+  std::atomic<std::size_t> executing_batches_{0};
   /// Requests past admission vs. requests with a delivered response;
-  /// equality is the drain condition (a queue/pool emptiness check would
-  /// miss requests held inside a forming batch). submit() counts a
-  /// request before it reads draining_ and takes it back on refusal.
+  /// equality is the drain condition (a queue emptiness check would miss
+  /// requests held inside a forming batch). submit() counts a request
+  /// before it reads draining_ and takes it back on refusal.
   std::atomic<std::uint64_t> admitted_requests_{0};
   std::atomic<std::uint64_t> finished_requests_{0};
+  /// await_finished() callers; while zero, no one is signalled.
+  std::atomic<std::uint32_t> finish_waiters_{0};
+  std::mutex finish_mu_;
+  std::condition_variable finish_cv_;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace everest::serve

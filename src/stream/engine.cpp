@@ -133,13 +133,16 @@ void StreamEngine::kill() {
 void StreamEngine::flush() {
   if (!running_.load()) return;
   // Wait until the pump consumed every event admitted so far. The
-  // acquire load on consumed_ pairs with the pump's post-process
-  // release increment, so operator/frontier state read afterwards is
-  // the folded state.
+  // seq_cst loads of consumed_ pair with the pump's post-process
+  // increment, so operator/frontier state read afterwards is the folded
+  // state. Registering as a waiter first means the pump either sees the
+  // registration and notifies, or incremented before the load here.
   const std::uint64_t target = ingestor_.stats().admitted;
-  while (consumed_.load(std::memory_order_acquire) < target) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  flush_waiters_.fetch_add(1);
+  for (std::uint64_t seen; (seen = consumed_.load()) < target;) {
+    consumed_.wait(seen);
   }
+  flush_waiters_.fetch_sub(1);
   ingestor_.sync_wal();
 }
 
@@ -148,7 +151,8 @@ void StreamEngine::pump() {
     std::optional<Event> event = ingestor_.take(config_.idle_poll);
     if (!event.has_value()) continue;
     process(*event);
-    consumed_.fetch_add(1, std::memory_order_release);
+    consumed_.fetch_add(1);
+    if (flush_waiters_.load() != 0) consumed_.notify_all();
   }
 }
 

@@ -172,6 +172,9 @@ class StreamEngine {
   /// Events the pump finished processing (pairs with ingest admitted
   /// count; flush() waits for equality).
   std::atomic<std::uint64_t> consumed_{0};
+  /// flush() callers waiting on consumed_; while zero the pump skips the
+  /// notify.
+  std::atomic<std::uint32_t> flush_waiters_{0};
 
   mutable std::mutex stats_mu_;
   EngineStats stats_;

@@ -57,7 +57,7 @@ Status Ingestor::offer(Event event) {
     // the determinism contract), so admission and journaling are one
     // critical section across producers.
     std::lock_guard<std::mutex> lock(admit_mu_);
-    admitted = queue_.push(event, lane, "event on '" + event.topic + "'");
+    admitted = queue_.push(Event(event), lane, "event on", event.topic);
     if (admitted.ok() && wal_ != nullptr) {
       wal_->append(encode_event(event, tid));
     }

@@ -1,15 +1,17 @@
 // Tests for the serving layer: queue admission/backpressure, SLA-priority
 // ordering, batch-formation boundaries (size-1 timeout flush, full-batch
-// flush), deadline expiry, thread-pool basics, metrics and their bounded
-// memory, a TEST_P sweep over SLA mixes, a multi-producer smoke test
-// asserting no request is lost or duplicated, the response and span
-// chain of every request outcome, and the drain contract under a
+// flush, work-conserving early flush), deadline expiry, the worker-pull
+// bound on work outside the queue, the autotuner's load signals, metrics
+// and their bounded memory, a TEST_P sweep over SLA mixes, a multi-producer
+// smoke test asserting no request is lost or duplicated, the response and
+// span chain of every request outcome, and the drain contract under a
 // drain/resume hammer. Timing assertions are deliberately loose: CI may
 // run on one core, so tests check ordering and accounting, not speed.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -186,32 +188,31 @@ TEST(Batcher, LatencyCriticalCapIsSmaller) {
   EXPECT_EQ(batch.size(), 2u);  // capped at lc_max_batch, not max_batch
 }
 
-// ---------------------------------------------------------- thread pool
-
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 200);
-  EXPECT_EQ(pool.pending(), 0u);
-  // Pool is reusable after wait_idle.
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 201);
-}
-
-TEST(ThreadPool, ShutdownDrainsQueuedWork) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // destructor = shutdown: must have drained, not dropped
-  EXPECT_EQ(counter.load(), 50);
+TEST(Batcher, PartialBatchStopsWaitingWhenOtherWorkIsQueued) {
+  RequestQueue queue(32);
+  BatchPolicy policy;
+  policy.max_batch = 8;
+  policy.max_wait = std::chrono::milliseconds(200);
+  Batcher batcher(&queue, policy);
+  ASSERT_TRUE(queue.push(make_pending("a", SlaClass::kThroughput, 1)).ok());
+  // Kernel "b" arrives while the "a" batch waits for company: waiting on
+  // would idle this consumer while "b" waits too.
+  std::thread late([&queue] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_TRUE(queue.push(make_pending("b", SlaClass::kThroughput, 2)).ok());
+  });
+  Batch batch;
+  const auto start = Clock::now();
+  const bool formed = batcher.next_batch(&batch);
+  const auto waited = Clock::now() - start;
+  late.join();
+  ASSERT_TRUE(formed);
+  EXPECT_EQ(batch.kernel, "a");
+  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_LT(waited, std::chrono::milliseconds(100));
+  ASSERT_TRUE(batcher.next_batch(&batch));
+  EXPECT_EQ(batch.kernel, "b");
+  EXPECT_EQ(batch.size(), 1u);
 }
 
 // -------------------------------------------------------------- metrics
@@ -401,6 +402,202 @@ TEST(Server, AdmissionControlBouncesOverload) {
   // Every admitted request got exactly one response.
   EXPECT_EQ(delivered.load(), 40 - rejected);
 }
+
+TEST(Server, BatchesOutsideTheQueueNeverExceedWorkers) {
+  constexpr std::size_t kWorkers = 3;
+  constexpr std::size_t kCapacity = 4;
+  runtime::KnowledgeBase kb;
+  ServerOptions options;
+  options.worker_threads = kWorkers;
+  options.queue_capacity = kCapacity;
+  options.batch.max_batch = 1;
+  options.batch.max_wait = std::chrono::microseconds(0);
+  // Every handler records how many run at once, then blocks until the
+  // gate opens.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  std::size_t running = 0;
+  std::size_t peak = 0;
+  std::atomic<std::size_t> delivered{0};
+  Endpoint gated = test_endpoint();
+  gated.handler = [&](const Batch& batch, std::vector<double>* values) {
+    std::unique_lock<std::mutex> lock(mu);
+    peak = std::max(peak, ++running);
+    cv.notify_all();
+    cv.wait(lock, [&] { return open; });
+    --running;
+    values->assign(batch.size(), 1.0);
+    return OkStatus();
+  };
+  Server server(options, &kb);
+  ASSERT_TRUE(server.register_endpoint(std::move(gated)).ok());
+  ASSERT_TRUE(server.start().ok());
+  const auto submit = [&] {
+    Request request;
+    request.kernel = "test_kernel";
+    return server.submit(request,
+                         [&](const Response&) { delivered.fetch_add(1); });
+  };
+
+  for (std::size_t i = 0; i < kWorkers; ++i) ASSERT_TRUE(submit().ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return running == kWorkers; });
+  }
+  // Every worker is blocked in its handler, so nothing may leave the queue:
+  // it admits exactly its capacity. The pause after each admission gives
+  // anything that pulls work past the queue time to do so.
+  std::size_t admitted = 0;
+  Status refused;
+  for (std::size_t i = 0; i <= kCapacity + 2 * kWorkers && refused.ok(); ++i) {
+    const Status status = submit();
+    if (!status.ok()) {
+      refused = status;
+      continue;
+    }
+    ++admitted;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(admitted, kCapacity);
+  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+  }
+  cv.notify_all();
+  server.drain();
+  server.stop();
+  EXPECT_EQ(peak, kWorkers);
+  EXPECT_EQ(delivered.load(), kWorkers + admitted);
+}
+
+// --------------------------------------------- autotuner load signals
+
+/// `workers` batches executing (the probe's own among them) with `queued`
+/// throughput requests behind them, and the SystemState the probe batch
+/// must be selected under: waiting = min(ceil(queued / max_batch),
+/// workers), fpga_queue_depth = workers + waiting, cpu_load =
+/// min(0.95, waiting / (workers + 1)).
+struct LoadCase {
+  std::size_t workers;
+  std::size_t max_batch;
+  std::size_t queued;
+  double fpga_queue_depth;
+  double cpu_load;
+};
+
+void PrintTo(const LoadCase& load, std::ostream* os) {
+  *os << load.workers << " workers, max_batch " << load.max_batch << ", "
+      << load.queued << " queued";
+}
+
+class LoadSignalTest : public ::testing::TestWithParam<LoadCase> {};
+
+constexpr double kProbeLatencyUs = 50.0;  // test_endpoint()'s variant
+
+/// Runs one latency-critical probe batch on a `target` variant while every
+/// other worker blocks in a handler and `queued` requests wait, and
+/// returns the latency the autotuner predicted for it (its execute span's
+/// annotation).
+double probe_prediction(const LoadCase& load, compiler::TargetKind target) {
+  constexpr std::uint64_t kProbeTrace = 77;
+  obs::TracerConfig tcfg;
+  tcfg.enabled = true;
+  obs::Tracer tracer(tcfg);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t blocked = 0;
+  std::size_t releases = 0;
+  bool probed = false;
+  runtime::KnowledgeBase kb;
+  ServerOptions options;
+  options.worker_threads = load.workers;
+  options.queue_capacity = load.queued + 1;
+  options.batch.max_batch = load.max_batch;
+  options.batch.max_wait = std::chrono::microseconds(0);
+  options.tracer = &tracer;
+  Endpoint hold = test_endpoint("hold");
+  hold.handler = [&](const Batch& batch, std::vector<double>* values) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++blocked;
+    cv.notify_all();
+    cv.wait(lock, [&] { return releases > 0; });
+    --releases;
+    values->assign(batch.size(), 0.0);
+    return OkStatus();
+  };
+  Endpoint probe = test_endpoint("probe");
+  probe.variants[0].target = target;
+  Server server(options, &kb);
+  EXPECT_TRUE(server.register_endpoint(std::move(hold)).ok());
+  EXPECT_TRUE(server.register_endpoint(std::move(probe)).ok());
+  EXPECT_TRUE(server.register_endpoint(test_endpoint("filler")).ok());
+  EXPECT_TRUE(server.start().ok());
+
+  const auto send = [&](const std::string& kernel, SlaClass sla,
+                        ResponseCallback on_done) {
+    Request request;
+    request.kernel = kernel;
+    request.sla = sla;
+    if (kernel == "probe") request.trace = obs::TraceContext{kProbeTrace, 0};
+    EXPECT_TRUE(server.submit(request, std::move(on_done)).ok()) << kernel;
+  };
+  // One hold request per worker, each pulled alone and blocking.
+  for (std::size_t i = 1; i <= load.workers; ++i) {
+    send("hold", SlaClass::kThroughput, nullptr);
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return blocked == i; });
+  }
+  for (std::size_t i = 0; i < load.queued; ++i) {
+    send("filler", SlaClass::kThroughput, nullptr);
+  }
+  send("probe", SlaClass::kLatencyCritical, [&](const Response&) {
+    std::lock_guard<std::mutex> lock(mu);
+    probed = true;
+    cv.notify_all();
+  });
+  // Free one worker: it pulls the probe (the LC lane jumps the queue)
+  // while the others stay blocked and the fillers stay queued.
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ++releases;
+    cv.notify_all();
+    cv.wait(lock, [&] { return probed; });
+    releases += load.workers;
+    cv.notify_all();
+  }
+  server.drain();
+  server.stop();
+
+  for (const obs::TraceEvent& event : tracer.collect()) {
+    if (event.trace_id != kProbeTrace || event.name != "execute") continue;
+    for (const auto& [key, value] : event.annotations) {
+      if (key == "predicted_latency_us") return std::stod(value);
+    }
+  }
+  ADD_FAILURE() << "no execute span with a prediction for the probe";
+  return 0.0;
+}
+
+TEST_P(LoadSignalTest, SelectionSeesExecutingBatchesAndQueuedBatches) {
+  const LoadCase& load = GetParam();
+  // An FPGA variant's prediction scales with 1 + fpga_queue_depth, a CPU
+  // variant's with 1 / (1 - cpu_load).
+  const double fpga = probe_prediction(load, compiler::TargetKind::kFpga);
+  EXPECT_NEAR(fpga / kProbeLatencyUs - 1.0, load.fpga_queue_depth, 1e-4);
+  const double cpu = probe_prediction(load, compiler::TargetKind::kCpu);
+  EXPECT_NEAR(1.0 - kProbeLatencyUs / cpu, load.cpu_load, 1e-4);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, LoadSignalTest,
+    ::testing::Values(LoadCase{1, 8, 0, 1.0, 0.0},
+                      LoadCase{1, 8, 5, 2.0, 0.5},
+                      LoadCase{2, 4, 3, 3.0, 1.0 / 3.0},
+                      LoadCase{2, 8, 9, 4.0, 2.0 / 3.0},
+                      LoadCase{3, 2, 4, 5.0, 0.5},
+                      LoadCase{4, 1, 40, 8.0, 0.8}));
 
 // ------------------------------------------------ SLA-mix TEST_P sweep
 

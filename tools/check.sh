@@ -15,7 +15,9 @@
 #   5. an AddressSanitizer build (EVEREST_SANITIZE=address) of the
 #      I/O-error-path-heavy test binaries (storage, data): fault
 #      injection exercises every short-write/EIO/ENOSPC cleanup path,
-#      and ASan proves none of them leaks or double-frees.
+#      and ASan proves none of them leaks or double-frees; plus serve and
+#      cluster, whose servers start and join their own worker threads
+#      and own each batch's lifetime across them.
 # Every build compiles with -Werror (set through CMAKE_CXX_FLAGS, so the
 # project itself gains no option). Any failure aborts the script with a
 # non-zero exit.
@@ -73,12 +75,13 @@ cmake --build "$ROOT/build-tsan" -j "$JOBS" \
   -R 'test_serve|test_obs|test_data|test_cluster|test_storage|test_stream|test_jit|test_runtime')
 
 echo
-echo "=== [5/5] ASan: storage + data tests (fault-injection leak check) ==="
+echo "=== [5/5] ASan: storage + data + serve + cluster tests ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DEVEREST_SANITIZE=address \
   -DCMAKE_CXX_FLAGS=-Werror >/dev/null
-cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_storage test_data
+cmake --build "$ROOT/build-asan" -j "$JOBS" \
+  --target test_storage test_data test_serve test_cluster
 (cd "$ROOT/build-asan" && ctest --output-on-failure -j "$JOBS" \
-  -R 'test_storage|test_data')
+  -R 'test_storage|test_data|test_serve|test_cluster')
 
 echo
 echo "check.sh: all gates passed."
