@@ -1,13 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the SDK's hot paths: crypto,
 // IR construction/verification, einsum inference, HLS synthesis, scheduler
-// throughput, and PTDR sampling. These guard against performance
-// regressions in the toolchain itself.
+// throughput, PTDR sampling and re-routing, and the energy downscale.
+// These guard against performance regressions in the toolchain itself.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <array>
 #include <filesystem>
+#include <memory>
 
 #include "apps/traffic.hpp"
+#include "apps/weather.hpp"
 #include "cluster/membership.hpp"
 #include "cluster/router.hpp"
 #include "cluster/shard_map.hpp"
@@ -174,6 +177,81 @@ void BM_PtdrSampling(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_PtdrSampling)->Arg(100)->Arg(1000);
+
+// The stream's PTDR re-routing searches: k = 3 alternatives for each of
+// the four OD pairs the operator monitors in perfbench's stream_ingest,
+// on the same 10 × 10 grid. Items are Dijkstra runs.
+constexpr std::array<stream::OdPair, 4> kMonitoredPairs = {
+    {{0, 99}, {9, 90}, {44, 55}, {3, 76}}};
+
+void BM_RoadAlternativePaths(benchmark::State& state) {
+  const apps::RoadNetwork city = apps::RoadNetwork::make_grid(10, 10, 17);
+  for (auto _ : state) {
+    for (const stream::OdPair& pair : kMonitoredPairs) {
+      auto alternatives = city.alternative_paths(pair.from, pair.to, 0, 3);
+      benchmark::DoNotOptimize(alternatives.data());
+    }
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) *
+                          int64_t(kMonitoredPairs.size()) * 3);
+}
+BENCHMARK(BM_RoadAlternativePaths);
+
+// One fcd window closing through the PTDR operator as stream_ingest runs
+// it (10 ms tumbling windows, ~100 speed readings each): fold the
+// window's readings, then move the watermark past it, which updates the
+// overlay and re-evaluates every pair.
+void BM_PtdrRerouteClosing(benchmark::State& state) {
+  constexpr std::uint64_t kWindowUs = 10'000;
+  auto city = std::make_shared<const apps::RoadNetwork>(
+      apps::RoadNetwork::make_grid(10, 10, 17));
+  stream::WindowSpec spec;
+  spec.size_us = kWindowUs;
+  stream::PtdrRerouteOperator op(
+      "ptdr_reroute", "fcd", spec, city,
+      std::vector<stream::OdPair>(kMonitoredPairs.begin(),
+                                  kMonitoredPairs.end()),
+      stream::PtdrRerouteConfig{});
+  Rng rng(3);
+  stream::Event event;
+  event.topic = "fcd";
+  std::vector<stream::WindowOutput> out;
+  std::uint64_t begin = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 100; ++i) {
+      event.key = rng.uniform_int(city->num_segments());
+      event.event_time_us = begin + rng.uniform_int(kWindowUs);
+      event.value = static_cast<double>(5 + rng.uniform_int(116));
+      op.offer(event);
+    }
+    begin += kWindowUs;
+    out.clear();
+    op.advance_watermark(begin, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PtdrRerouteClosing);
+
+// The energy_forecast handler's shared step: one 24 × 24 coarse wind
+// field downscaled 4x to 96 × 96, over the terrain the endpoint draws at
+// construction.
+void BM_EnergyDownscale(benchmark::State& state) {
+  apps::WeatherOptions options;
+  options.ny = 24;
+  options.nx = 24;
+  apps::WeatherGenerator generator(options, 11);
+  const apps::WeatherField coarse = generator.generate_truth(1)[0].wind_speed;
+  const std::vector<double> terrain =
+      apps::downscale_terrain(24, 24, 4, 11 ^ 0xD5);
+  for (auto _ : state) {
+    const apps::WeatherField fine = apps::downscale(coarse, 4, 0.05, terrain);
+    benchmark::DoNotOptimize(fine.data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EnergyDownscale);
 
 // The observability contract: a disabled tracer costs one relaxed load +
 // branch per call site (<10 ns; bench_e20 enforces the budget), an

@@ -50,14 +50,26 @@ WindFarm WindFarm::make_cluster(int n, double domain_y_km, double domain_x_km,
   return farm;
 }
 
+const std::vector<double>& EnergyForecaster::terrain(int factor) {
+  auto it = terrains_.find(factor);
+  if (it == terrains_.end()) {
+    const WeatherOptions& grid = generator_.options();
+    it = terrains_
+             .emplace(factor,
+                      downscale_terrain(grid.ny, grid.nx, factor, seed_))
+             .first;
+  }
+  return it->second;
+}
+
 std::vector<double> EnergyForecaster::hour_features(
     const std::vector<WeatherState>& members_hour, int hour,
-    int downscale_factor) const {
+    int downscale_factor, const std::vector<double>& terrain) const {
   // Farm-cell wind statistics across the ensemble.
   OnlineStats wind_stats, power_stats;
   for (const WeatherState& member : members_hour) {
     const WeatherField fine =
-        downscale(member.wind_speed, downscale_factor, 0.05, seed_);
+        downscale(member.wind_speed, downscale_factor, 0.05, terrain);
     double mean_wind = 0.0;
     for (const Turbine& t : farm_.turbines) {
       mean_wind += fine.sample(t.y_km / fine.dx_km, t.x_km / fine.dx_km);
@@ -79,20 +91,21 @@ std::vector<double> EnergyForecaster::hour_features(
 
 double EnergyForecaster::physical_power(
     const std::vector<WeatherState>& members_hour,
-    int downscale_factor) const {
+    int downscale_factor, const std::vector<double>& terrain) const {
   double total = 0.0;
   for (const WeatherState& member : members_hour) {
     const WeatherField fine =
-        downscale(member.wind_speed, downscale_factor, 0.05, seed_);
+        downscale(member.wind_speed, downscale_factor, 0.05, terrain);
     total += farm_.farm_power(fine);
   }
   return total / static_cast<double>(members_hour.size());
 }
 
-double EnergyForecaster::actual_production(const WeatherState& truth_hour,
-                                           int downscale_factor) const {
+double EnergyForecaster::actual_production(
+    const WeatherState& truth_hour, int downscale_factor,
+    const std::vector<double>& terrain) const {
   const WeatherField fine =
-      downscale(truth_hour.wind_speed, downscale_factor, 0.05, seed_);
+      downscale(truth_hour.wind_speed, downscale_factor, 0.05, terrain);
   const double raw = farm_.farm_power(fine);
   // Wake losses (~10%) plus an air-density term: warm air is thinner, so
   // production drops ~0.6%/°C above 12 °C.
@@ -109,6 +122,8 @@ double EnergyForecaster::actual_production(const WeatherState& truth_hour,
 
 double EnergyForecaster::train(int days, int epochs) {
   ForecastOptions options;  // defaults for history generation
+  const int factor = options.downscale_factor;
+  const std::vector<double>& fine_terrain = terrain(factor);
   std::vector<std::vector<double>> features;
   std::vector<std::vector<double>> targets;
   const double capacity = farm_.capacity_mw();
@@ -122,10 +137,9 @@ double EnergyForecaster::train(int days, int epochs) {
     for (int h = 0; h < options.horizon_hours; ++h) {
       std::vector<WeatherState> hour_states;
       for (const auto& member : members) hour_states.push_back(member[h]);
-      features.push_back(
-          hour_features(hour_states, h, options.downscale_factor));
+      features.push_back(hour_features(hour_states, h, factor, fine_terrain));
       targets.push_back(
-          {actual_production(truth[h], options.downscale_factor) / capacity});
+          {actual_production(truth[h], factor, fine_terrain) / capacity});
     }
   }
   Rng rng(seed_ ^ 0xABCDEF);
@@ -141,6 +155,8 @@ double EnergyForecaster::train(int days, int epochs) {
 ForecastResult EnergyForecaster::forecast_day(const ForecastOptions& options) {
   ForecastResult result;
   const double capacity = farm_.capacity_mw();
+  const int factor = options.downscale_factor;
+  const std::vector<double>& fine_terrain = terrain(factor);
   const auto truth = generator_.generate_truth(options.horizon_hours);
   std::vector<std::vector<WeatherState>> members;
   for (int m = 0; m < options.ensemble_members; ++m) {
@@ -151,15 +167,13 @@ ForecastResult EnergyForecaster::forecast_day(const ForecastOptions& options) {
   for (int h = 0; h < options.horizon_hours; ++h) {
     std::vector<WeatherState> hour_states;
     for (const auto& member : members) hour_states.push_back(member[h]);
-    const double physical =
-        physical_power(hour_states, options.downscale_factor);
+    const double physical = physical_power(hour_states, factor, fine_terrain);
     double forecast = physical;
     if (correction_ != nullptr) {
-      const auto f = hour_features(hour_states, h, options.downscale_factor);
+      const auto f = hour_features(hour_states, h, factor, fine_terrain);
       forecast = std::clamp(correction_->predict(f)[0], 0.0, 1.0) * capacity;
     }
-    const double actual =
-        actual_production(truth[h], options.downscale_factor);
+    const double actual = actual_production(truth[h], factor, fine_terrain);
     result.forecast_mw.push_back(forecast);
     result.physical_mw.push_back(physical);
     result.actual_mw.push_back(actual);
@@ -171,7 +185,7 @@ ForecastResult EnergyForecaster::forecast_day(const ForecastOptions& options) {
         (error_mwh > 0 ? kShortfallMultiplier * error_mwh : -error_mwh);
     result.compute_flops +=
         static_cast<double>(options.ensemble_members + 1) *
-        downscale_flops(truth[h].wind_speed, options.downscale_factor);
+        downscale_flops(truth[h].wind_speed, factor);
   }
   result.rmse_mw = std::sqrt(se / options.horizon_hours);
   result.physical_rmse_mw = std::sqrt(physical_se / options.horizon_hours);

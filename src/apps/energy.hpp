@@ -4,6 +4,7 @@
 // scored by RMSE and the asymmetric imbalance cost the market charges.
 #pragma once
 
+#include <map>
 #include <vector>
 
 #include "apps/mlp.hpp"
@@ -77,24 +78,32 @@ class EnergyForecaster {
   [[nodiscard]] const WindFarm& farm() const { return farm_; }
 
  private:
+  /// The downscale terrain for `factor` on this forecaster's grid, drawn
+  /// from its seed once and kept: grid and seed are fixed at
+  /// construction, while the factor arrives with each call.
+  const std::vector<double>& terrain(int factor);
+
   /// Ensemble features for one hour: mean/std of farm-cell wind +
   /// hour-of-day encoding.
   std::vector<double> hour_features(
       const std::vector<WeatherState>& members_hour, int hour,
-      int downscale_factor) const;
+      int downscale_factor, const std::vector<double>& terrain) const;
   /// Raw physical forecast (power curve on the ensemble-mean wind).
   double physical_power(const std::vector<WeatherState>& members_hour,
-                        int downscale_factor) const;
+                        int downscale_factor,
+                        const std::vector<double>& terrain) const;
   /// Actual production: power curve on the true wind, degraded by wake and
   /// air-density losses the physical model does not capture (this is the
   /// systematic signal the AI correction learns, paper §VI-D "quality of
   /// predictions").
   double actual_production(const WeatherState& truth_hour,
-                           int downscale_factor) const;
+                           int downscale_factor,
+                           const std::vector<double>& terrain) const;
 
   WeatherGenerator generator_;
   WindFarm farm_;
   std::uint64_t seed_;
+  std::map<int, std::vector<double>> terrains_;  ///< by downscale factor
   std::unique_ptr<Mlp> correction_;
   double feature_scale_ = 1.0;
 };

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <queue>
 
 #include "common/stats.hpp"
 
@@ -80,65 +82,62 @@ double RoadNetwork::sample_time_s(std::size_t segment, int hour,
   return seg.length_km / speed * 3600.0;
 }
 
+std::optional<std::vector<std::size_t>> RoadNetwork::route(
+    std::size_t from, std::size_t to, int hour,
+    const std::vector<double>* penalty) const {
+  if (from >= num_nodes_ || to >= num_nodes_) return std::nullopt;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> dist(num_nodes_, kInf);
+  std::vector<std::size_t> via(num_nodes_);  // segment that reached a node
+  using Item = std::pair<double, std::size_t>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+  dist[from] = 0.0;
+  pq.emplace(0.0, from);
+  while (!pq.empty()) {
+    const auto [d, n] = pq.top();
+    pq.pop();
+    if (d > dist[n]) continue;
+    for (const std::size_t s : out_segments_[n]) {
+      double w = expected_time_s(s, hour);
+      if (penalty != nullptr) w *= (*penalty)[s];
+      const double nd = d + w;
+      const std::size_t next = segments_[s].to;
+      if (nd < dist[next]) {
+        dist[next] = nd;
+        via[next] = s;
+        pq.emplace(nd, next);
+      }
+    }
+  }
+  if (dist[to] == kInf) return std::nullopt;
+  std::vector<std::size_t> path;
+  for (std::size_t n = to; n != from; n = segments_[via[n]].from) {
+    path.push_back(via[n]);
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
 std::vector<std::size_t> RoadNetwork::shortest_path(std::size_t from,
                                                     std::size_t to,
                                                     int hour) const {
-  WeightedDigraph g(num_nodes_);
-  for (std::size_t s = 0; s < segments_.size(); ++s) {
-    g.add_edge(segments_[s].from, segments_[s].to, expected_time_s(s, hour));
-  }
-  const auto sp = g.dijkstra(from);
-  const auto nodes = WeightedDigraph::extract_path(sp, from, to);
-  if (nodes.empty()) return {};
-  // Convert node path to segment indices.
-  std::vector<std::size_t> path;
-  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    bool found = false;
-    for (std::size_t s : out_segments_[nodes[i]]) {
-      if (segments_[s].to == nodes[i + 1]) {
-        path.push_back(s);
-        found = true;
-        break;
-      }
-    }
-    if (!found) return {};
-  }
-  return path;
+  auto path = route(from, to, hour, nullptr);
+  return path ? std::move(*path) : std::vector<std::size_t>{};
 }
 
 std::vector<std::vector<std::size_t>> RoadNetwork::alternative_paths(
     std::size_t from, std::size_t to, int hour, int k) const {
   std::vector<std::vector<std::size_t>> alternatives;
-  std::map<std::size_t, double> penalties;  // segment → multiplier
+  std::vector<double> penalty(segments_.size(), 1.0);  // weight multiplier
   for (int i = 0; i < k; ++i) {
-    WeightedDigraph g(num_nodes_);
-    for (std::size_t s = 0; s < segments_.size(); ++s) {
-      double w = expected_time_s(s, hour);
-      auto it = penalties.find(s);
-      if (it != penalties.end()) w *= it->second;
-      g.add_edge(segments_[s].from, segments_[s].to, w);
-    }
-    const auto sp = g.dijkstra(from);
-    const auto nodes = WeightedDigraph::extract_path(sp, from, to);
-    if (nodes.empty()) break;
-    std::vector<std::size_t> path;
-    for (std::size_t n = 0; n + 1 < nodes.size(); ++n) {
-      for (std::size_t s : out_segments_[nodes[n]]) {
-        if (segments_[s].to == nodes[n + 1]) {
-          path.push_back(s);
-          break;
-        }
-      }
-    }
+    auto path = route(from, to, hour, &penalty);
+    if (!path) break;
+    // Penalize used segments to push the next search elsewhere.
+    for (const std::size_t s : *path) penalty[s] *= 1.4;
     // Deduplicate identical alternatives.
     bool duplicate = false;
-    for (const auto& existing : alternatives) duplicate |= existing == path;
-    if (!duplicate) alternatives.push_back(path);
-    // Penalize used segments to push the next search elsewhere.
-    for (std::size_t s : path) {
-      auto [it, inserted] = penalties.emplace(s, 1.0);
-      it->second *= 1.4;
-    }
+    for (const auto& existing : alternatives) duplicate |= existing == *path;
+    if (!duplicate) alternatives.push_back(std::move(*path));
   }
   return alternatives;
 }

@@ -7,10 +7,10 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/graph.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 
@@ -34,6 +34,9 @@ struct SpeedProfile {
 };
 
 /// A road network: grid-shaped generator plus speed profiles per segment.
+/// Routing runs Dijkstra straight over the per-node outgoing segment
+/// lists, weighting each segment by its expected time at the query hour
+/// as it is relaxed.
 class RoadNetwork {
  public:
   /// Manhattan grid of rows × cols intersections, bidirectional streets,
@@ -58,21 +61,32 @@ class RoadNetwork {
                                      Rng& rng) const;
 
   /// Shortest path (by expected time at `hour`) between two nodes; empty
-  /// when unreachable. Returns segment indices.
+  /// when unreachable, when from == to, or when either id is not below
+  /// num_nodes(). Returns segment indices.
   [[nodiscard]] std::vector<std::size_t> shortest_path(std::size_t from,
                                                        std::size_t to,
                                                        int hour) const;
 
-  /// K alternative paths via iterative edge-penalization.
+  /// K alternative paths via iterative edge-penalization: each search
+  /// multiplies the weight of every segment the previous paths used by
+  /// 1.4; identical paths are kept once. Empty when unreachable or an id
+  /// is out of range; one empty path when from == to.
   [[nodiscard]] std::vector<std::vector<std::size_t>> alternative_paths(
       std::size_t from, std::size_t to, int hour, int k) const;
 
  private:
+  /// Dijkstra from `from`, each segment weighted by expected_time_s at
+  /// `hour`, times penalty[segment] when `penalty` is given. Ties in
+  /// distance pop the lower node id first. nullopt when `to` is
+  /// unreachable or an id is out of range.
+  [[nodiscard]] std::optional<std::vector<std::size_t>> route(
+      std::size_t from, std::size_t to, int hour,
+      const std::vector<double>* penalty) const;
+
   std::size_t num_nodes_ = 0;
   std::vector<RoadSegment> segments_;
   std::vector<SpeedProfile> profiles_;
-  /// segment index lookup by (from,to) adjacency.
-  WeightedDigraph topology_;  // weights unused; rebuilt per query
+  /// Outgoing segment indices per node, ascending.
   std::vector<std::vector<std::size_t>> out_segments_;
 };
 

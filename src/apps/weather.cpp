@@ -154,8 +154,19 @@ std::vector<WeatherState> WeatherGenerator::perturb_member(
   return member;
 }
 
+std::vector<double> downscale_terrain(int ny, int nx, int factor,
+                                      std::uint64_t seed) {
+  if (factor <= 1) return {};
+  std::vector<double> terrain(static_cast<std::size_t>(ny) * factor *
+                              static_cast<std::size_t>(nx) * factor);
+  Rng rng(seed);
+  for (double& t : terrain) t = rng.normal(0.0, 1.0);
+  return terrain;
+}
+
 WeatherField downscale(const WeatherField& coarse, int factor,
-                       double perturbation, std::uint64_t seed) {
+                       double perturbation,
+                       const std::vector<double>& terrain) {
   if (factor <= 1) return coarse;
   WeatherField fine;
   fine.ny = coarse.ny * factor;
@@ -163,10 +174,6 @@ WeatherField downscale(const WeatherField& coarse, int factor,
   fine.dx_km = coarse.dx_km / factor;
   fine.data.resize(static_cast<std::size_t>(fine.ny) *
                    static_cast<std::size_t>(fine.nx));
-  Rng rng(seed);
-  // Deterministic "terrain" modulation at the fine scale.
-  std::vector<double> terrain(fine.data.size());
-  for (double& t : terrain) t = rng.normal(0.0, 1.0);
   for (int y = 0; y < fine.ny; ++y) {
     for (int x = 0; x < fine.nx; ++x) {
       const double cy = static_cast<double>(y) / factor;
@@ -180,6 +187,12 @@ WeatherField downscale(const WeatherField& coarse, int factor,
     }
   }
   return fine;
+}
+
+WeatherField downscale(const WeatherField& coarse, int factor,
+                       double perturbation, std::uint64_t seed) {
+  return downscale(coarse, factor, perturbation,
+                   downscale_terrain(coarse.ny, coarse.nx, factor, seed));
 }
 
 double downscale_flops(const WeatherField& coarse, int factor) {

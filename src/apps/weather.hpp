@@ -75,8 +75,22 @@ class WeatherGenerator {
   Rng rng_;
 };
 
+/// The fine-scale terrain `downscale` modulates by: one standard normal
+/// per cell of the (ny·factor) × (nx·factor) fine grid, row-major, drawn
+/// from `seed`. Empty when factor <= 1. It depends only on its arguments,
+/// so a caller that downscales the same grid repeatedly draws it once.
+std::vector<double> downscale_terrain(int ny, int nx, int factor,
+                                      std::uint64_t seed);
+
 /// Bilinear downscaling by an integer factor with terrain-like small-scale
-/// perturbation (deterministic from `seed` so members stay comparable).
+/// perturbation: fine = bilinear(coarse) · (1 + perturbation · terrain).
+/// `terrain` holds downscale_terrain(coarse.ny, coarse.nx, factor, ·).
+/// Returns `coarse` unchanged when factor <= 1.
+WeatherField downscale(const WeatherField& coarse, int factor,
+                       double perturbation, const std::vector<double>& terrain);
+
+/// The same with the terrain drawn from `seed` (deterministic, so members
+/// stay comparable).
 WeatherField downscale(const WeatherField& coarse, int factor,
                        double perturbation = 0.05, std::uint64_t seed = 17);
 

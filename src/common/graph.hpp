@@ -1,5 +1,5 @@
-// Generic directed-graph utilities shared by the IR, the workflow engine,
-// the HLS CDFG, and the traffic road network.
+// Generic directed-graph utilities shared by the workflow engine, the data
+// plane's prefetcher and the HLS CDFG.
 #pragma once
 
 #include <algorithm>
@@ -124,50 +124,6 @@ class Digraph {
  private:
   std::vector<std::vector<std::size_t>> succ_;
   std::vector<std::vector<std::size_t>> pred_;
-  std::size_t num_edges_ = 0;
-};
-
-/// Weighted digraph for shortest-path style queries (road networks,
-/// interconnect topologies). Edge weights are doubles.
-class WeightedDigraph {
- public:
-  struct Edge {
-    std::size_t to;
-    double weight;
-  };
-
-  WeightedDigraph() = default;
-  explicit WeightedDigraph(std::size_t num_nodes) : adj_(num_nodes) {}
-
-  [[nodiscard]] std::size_t num_nodes() const { return adj_.size(); }
-  [[nodiscard]] std::size_t num_edges() const { return num_edges_; }
-
-  std::size_t add_node() {
-    adj_.emplace_back();
-    return adj_.size() - 1;
-  }
-
-  void add_edge(std::size_t from, std::size_t to, double weight) {
-    adj_[from].push_back({to, weight});
-    ++num_edges_;
-  }
-
-  [[nodiscard]] const std::vector<Edge>& edges(std::size_t n) const { return adj_[n]; }
-
-  /// Dijkstra from `source`; returns distances (infinity if unreachable)
-  /// and predecessor array for path reconstruction.
-  struct ShortestPaths {
-    std::vector<double> dist;
-    std::vector<std::size_t> pred;  // SIZE_MAX for source/unreachable
-  };
-  [[nodiscard]] ShortestPaths dijkstra(std::size_t source) const;
-
-  /// Reconstructs the node sequence source→target (empty if unreachable).
-  [[nodiscard]] static std::vector<std::size_t> extract_path(
-      const ShortestPaths& sp, std::size_t source, std::size_t target);
-
- private:
-  std::vector<std::vector<Edge>> adj_;
   std::size_t num_edges_ = 0;
 };
 

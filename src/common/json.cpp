@@ -100,13 +100,18 @@ std::string Value::dump(int indent) const {
 
 namespace {
 
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so the cap bounds its stack use (a few hundred bytes per
+/// level) whatever the input; the SDK's own documents nest a few levels.
+constexpr int kMaxNestingDepth = 512;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
   Result<Value> parse() {
     skip_ws();
-    auto v = parse_value();
+    auto v = parse_value(0);
     if (!v.ok()) return v;
     skip_ws();
     if (pos_ != text_.size()) return error("trailing characters");
@@ -143,11 +148,15 @@ class Parser {
     return false;
   }
 
-  Result<Value> parse_value() {
+  /// `depth` counts the arrays and objects enclosing this value.
+  Result<Value> parse_value(int depth) {
     if (pos_ >= text_.size()) return error("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if ((c == '{' || c == '[') && depth >= kMaxNestingDepth) {
+      return error("nesting deeper than " + std::to_string(kMaxNestingDepth));
+    }
+    if (c == '{') return parse_object(depth + 1);
+    if (c == '[') return parse_array(depth + 1);
     if (c == '"') {
       auto s = parse_string();
       if (!s.ok()) return s.status();
@@ -228,14 +237,14 @@ class Parser {
     return error("unterminated string");
   }
 
-  Result<Value> parse_array() {
+  Result<Value> parse_array(int depth) {
     consume('[');
     Array arr;
     skip_ws();
     if (consume(']')) return Value(std::move(arr));
     while (true) {
       skip_ws();
-      auto v = parse_value();
+      auto v = parse_value(depth);
       if (!v.ok()) return v;
       arr.push_back(std::move(v).value());
       skip_ws();
@@ -244,7 +253,7 @@ class Parser {
     }
   }
 
-  Result<Value> parse_object() {
+  Result<Value> parse_object(int depth) {
     consume('{');
     Object obj;
     skip_ws();
@@ -256,7 +265,7 @@ class Parser {
       skip_ws();
       if (!consume(':')) return error("expected ':'");
       skip_ws();
-      auto v = parse_value();
+      auto v = parse_value(depth);
       if (!v.ok()) return v;
       obj.emplace(std::move(key).value(), std::move(v).value());
       skip_ws();

@@ -81,7 +81,8 @@ class Value {
   Object object_;
 };
 
-/// Parses a JSON document; returns INVALID_ARGUMENT with a position on error.
+/// Parses a JSON document; returns INVALID_ARGUMENT with a position on error,
+/// including for arrays/objects nested more than 512 deep.
 Result<Value> parse(std::string_view text);
 
 }  // namespace everest::json

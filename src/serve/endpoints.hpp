@@ -1,8 +1,9 @@
 // Servable endpoints: the three paper use cases (§VI) wrapped as batch
 // handlers behind stable kernel names. Each handler does real work and is
 // written batch-first — the expensive shared setup (weather ensemble,
-// dispersion ensemble, road network) is computed once per batch and only
-// the cheap per-request part runs per element. That shape is what makes
+// dispersion ensemble) is computed once per batch, the static state
+// (downscale terrain, road network) once at construction, and only the
+// cheap per-request part runs per element. That shape is what makes
 // batching a genuine throughput lever in bench E17 rather than a
 // simulation constant.
 //
@@ -48,8 +49,9 @@ struct Endpoint {
   VariantBatchHandler variant_handler;
 };
 
-/// §VI-A wind-power forecast: per batch one downscaled ensemble wind
-/// field; per request a wind-farm power-curve evaluation on it.
+/// §VI-A wind-power forecast: per batch one wind field downscaled over a
+/// terrain drawn at construction; per request a wind-farm power-curve
+/// evaluation on it.
 /// Kernel name: "energy_forecast".
 Endpoint make_energy_endpoint(std::uint64_t base_seed = 11);
 

@@ -86,6 +86,7 @@ PtdrRerouteOperator::PtdrRerouteOperator(
       network_(std::move(network)),
       pairs_(std::move(pairs)),
       config_(config),
+      alternatives_(pairs_.size() * 24),
       overlay_(network_->num_segments(), 1.0) {
   init_routes();
 }
@@ -120,6 +121,16 @@ double PtdrRerouteOperator::path_time_s(const std::vector<std::size_t>& path,
   return total;
 }
 
+const std::vector<std::vector<std::size_t>>&
+PtdrRerouteOperator::alternatives(std::size_t p, int hour) {
+  auto& memo = alternatives_[p * 24 + static_cast<std::size_t>(hour)];
+  if (!memo) {
+    memo = network_->alternative_paths(pairs_[p].from, pairs_[p].to, hour,
+                                       config_.alternatives);
+  }
+  return *memo;
+}
+
 void PtdrRerouteOperator::advance_watermark(std::uint64_t watermark_us,
                                             std::vector<WindowOutput>* out) {
   scratch_.clear();
@@ -150,9 +161,7 @@ void PtdrRerouteOperator::advance_watermark(std::uint64_t watermark_us,
     for (std::size_t p = 0; p < pairs_.size(); ++p) {
       double best_time = path_time_s(routes_[p], hour);
       const std::vector<std::size_t>* best = nullptr;
-      const auto alternatives = network_->alternative_paths(
-          pairs_[p].from, pairs_[p].to, hour, config_.alternatives);
-      for (const auto& alt : alternatives) {
+      for (const auto& alt : alternatives(p, hour)) {
         if (alt.empty() || alt == routes_[p]) continue;
         const double t = path_time_s(alt, hour);
         if (t < best_time * (1.0 - config_.reroute_threshold) &&

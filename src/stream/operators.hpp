@@ -13,13 +13,16 @@
 //     monitored origin/destination pair under the overlay, and switches
 //     to an alternative route when it beats the current one by a
 //     threshold. One output per pair per trigger: the chosen route's
-//     expected travel seconds.
+//     expected travel seconds. The candidate routes come from the
+//     immutable network alone, so they are searched once per (pair,
+//     hour of day) and a closing costs only the overlay re-evaluation.
 //
 // Plus generic accumulators (count/mean) for tests and benches.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,6 +67,12 @@ struct PtdrRerouteConfig {
 /// Online PTDR re-routing on speed updates. Events: key = road-segment
 /// index, value = observed speed (km/h). Deterministic: expected times
 /// under the speed overlay, no Monte Carlo on the hot path.
+///
+/// The operator memoizes the network's alternative_paths per (pair, hour
+/// of day), at most pairs × 24 entries, kept across reset(). That relies
+/// on the network never changing under the operator: do not edit its
+/// speed profiles (mutable_profile, calibrate_profiles) while an operator
+/// holds it. Observed speeds enter only through the overlay.
 class PtdrRerouteOperator : public Operator {
  public:
   PtdrRerouteOperator(std::string name, std::string topic, WindowSpec spec,
@@ -97,6 +106,10 @@ class PtdrRerouteOperator : public Operator {
   /// segment's profile speed scaled by the observed overlay factor.
   [[nodiscard]] double path_time_s(const std::vector<std::size_t>& path,
                                    int hour) const;
+  /// The network's alternative_paths for pair `p` at `hour`, searched on
+  /// first use and kept.
+  const std::vector<std::vector<std::size_t>>& alternatives(std::size_t p,
+                                                            int hour);
   void init_routes();
 
   WindowedOperator inner_;  ///< mean observed speed per segment
@@ -104,6 +117,9 @@ class PtdrRerouteOperator : public Operator {
   std::vector<OdPair> pairs_;
   PtdrRerouteConfig config_;
   std::vector<std::vector<std::size_t>> routes_;  ///< current path per pair
+  /// alternatives() memo, index pair × 24 + hour.
+  std::vector<std::optional<std::vector<std::vector<std::size_t>>>>
+      alternatives_;
   std::vector<double> overlay_;  ///< per-segment observed/free-flow factor
   std::uint64_t rerouted_ = 0;
   OperatorStats stats_;

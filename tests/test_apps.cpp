@@ -2,6 +2,7 @@
 // forecasting, air-quality dispersion, and traffic/PTDR.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "apps/airquality.hpp"
@@ -10,6 +11,7 @@
 #include "apps/mlp.hpp"
 #include "apps/traffic.hpp"
 #include "apps/weather.hpp"
+#include "common/hash.hpp"
 #include "compiler/lowering.hpp"
 #include "ir/verifier.hpp"
 
@@ -127,6 +129,33 @@ TEST(Weather, DownscalePreservesLargeScale) {
   const WeatherField fine2 = downscale(coarse, 4, 0.05, 7);
   EXPECT_EQ(fine.data, fine2.data);
   EXPECT_GT(downscale_flops(coarse, 4), 0.0);
+}
+
+TEST(Weather, DownscaleOverTerrainEqualsSeededDownscale) {
+  WeatherGenerator gen(WeatherOptions{}, 5);
+  const auto truth = gen.generate_truth(1);
+  const WeatherField& coarse = truth[0].wind_speed;
+  for (const int factor : {1, 2, 4}) {
+    const std::vector<double> terrain =
+        downscale_terrain(coarse.ny, coarse.nx, factor, 7);
+    const WeatherField seeded = downscale(coarse, factor, 0.05, 7);
+    const WeatherField given = downscale(coarse, factor, 0.05, terrain);
+    EXPECT_EQ(given.ny, seeded.ny);
+    EXPECT_EQ(given.nx, seeded.nx);
+    EXPECT_EQ(given.dx_km, seeded.dx_km);
+    ASSERT_EQ(given.data.size(), seeded.data.size());
+    for (std::size_t i = 0; i < given.data.size(); ++i) {
+      ASSERT_EQ(given.data[i], seeded.data[i]) << "factor " << factor
+                                               << " cell " << i;
+    }
+  }
+  // The seeded output itself, recorded when it drew its terrain inline.
+  const WeatherField fine = downscale(coarse, 4, 0.05, 7);
+  std::uint64_t h = kFnv1aBasis;
+  for (const double v : fine.data) {
+    h = fnv1a_u64(std::bit_cast<std::uint64_t>(v), h);
+  }
+  EXPECT_EQ(h, 0xaa33d15f0c6e15b9ULL);
 }
 
 TEST(Weather, FieldSampleBilinear) {
@@ -329,6 +358,51 @@ TEST(Traffic, ShortestPathConnectsGrid) {
     at = net.segment(s).to;
   }
   EXPECT_EQ(at, 35u);
+}
+
+/// FNV-1a over every shortest_path and alternative_paths(k = 3) result of
+/// a stride sweep of (from, to) at hours 0, 8 and 17: each path's length,
+/// then its segment ids. The sweep includes from == to pairs.
+std::uint64_t routing_digest(const RoadNetwork& net) {
+  std::uint64_t h = kFnv1aBasis;
+  auto fold = [&h](const std::vector<std::size_t>& path) {
+    h = fnv1a_u64(path.size(), h);
+    for (const std::size_t s : path) h = fnv1a_u64(s, h);
+  };
+  for (const int hour : {0, 8, 17}) {
+    for (std::size_t from = 0; from < net.num_nodes(); from += 7) {
+      for (std::size_t to = 3; to < net.num_nodes(); to += 11) {
+        fold(net.shortest_path(from, to, hour));
+        const auto alternatives = net.alternative_paths(from, to, hour, 3);
+        h = fnv1a_u64(alternatives.size(), h);
+        for (const auto& alt : alternatives) fold(alt);
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Traffic, RoutingMatchesGoldenDigest) {
+  // Recorded when routing still built a weighted graph per query; any
+  // changed route changes them.
+  EXPECT_EQ(routing_digest(RoadNetwork::make_grid(10, 10, 17)),
+            0x718356ea6ab0faf4ULL);
+  EXPECT_EQ(routing_digest(RoadNetwork::make_grid(12, 12, 9)),
+            0xa977495bebb44e14ULL);
+}
+
+TEST(Traffic, OutOfRangeNodeIdsRouteNowhere) {
+  const RoadNetwork net = RoadNetwork::make_grid(10, 10, 17);
+  EXPECT_TRUE(net.shortest_path(150, 3, 8).empty());
+  EXPECT_TRUE(net.shortest_path(3, 150, 8).empty());
+  EXPECT_TRUE(net.shortest_path(net.num_nodes(), 0, 8).empty());
+  EXPECT_TRUE(net.alternative_paths(150, 3, 8, 3).empty());
+  EXPECT_TRUE(net.alternative_paths(3, net.num_nodes(), 8, 3).empty());
+  Rng rng(1);
+  EXPECT_EQ(choose_route(net, 150, 3, 8, 3, 16, 0.5, rng).status().code(),
+            StatusCode::kNotFound);
+  // The last node is still routable.
+  EXPECT_FALSE(net.shortest_path(net.num_nodes() - 1, 0, 8).empty());
 }
 
 TEST(Traffic, AlternativePathsAreDistinct) {

@@ -399,23 +399,6 @@ TEST(Digraph, FrontierWithinWalksWaves) {
             (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
-TEST(WeightedDigraph, DijkstraFindsShortestPath) {
-  WeightedDigraph g(5);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  g.add_edge(0, 2, 5.0);
-  g.add_edge(2, 3, 1.0);
-  auto sp = g.dijkstra(0);
-  EXPECT_DOUBLE_EQ(sp.dist[2], 2.0);
-  EXPECT_DOUBLE_EQ(sp.dist[3], 3.0);
-  EXPECT_TRUE(std::isinf(sp.dist[4]));
-  auto path = WeightedDigraph::extract_path(sp, 0, 3);
-  ASSERT_EQ(path.size(), 4u);
-  EXPECT_EQ(path[0], 0u);
-  EXPECT_EQ(path[3], 3u);
-  EXPECT_TRUE(WeightedDigraph::extract_path(sp, 0, 4).empty());
-}
-
 // ------------------------------------------------------------------ JSON --
 
 TEST(Json, RoundTripObject) {
@@ -451,6 +434,28 @@ TEST(Json, RejectsMalformed) {
   EXPECT_FALSE(json::parse("{\"a\" 1}").ok());
   EXPECT_FALSE(json::parse("12 34").ok());
   EXPECT_FALSE(json::parse("\"unterminated").ok());
+}
+
+TEST(Json, NestingBombReturnsInvalidArgument) {
+  auto nested = [](std::size_t levels, const std::string& open,
+                   const std::string& inner, const std::string& close) {
+    std::string text;
+    for (std::size_t i = 0; i < levels; ++i) text += open;
+    text += inner;
+    for (std::size_t i = 0; i < levels; ++i) text += close;
+    return text;
+  };
+  // 512 levels parse; one more is refused before it recurses.
+  EXPECT_TRUE(json::parse(nested(512, "[", "1", "]")).ok());
+  EXPECT_TRUE(json::parse(nested(512, "{\"a\":", "1", "}")).ok());
+  for (const std::size_t levels : {513u, 20'000u, 1'000'000u}) {
+    const auto arrays = json::parse(nested(levels, "[", "", "]"));
+    EXPECT_EQ(arrays.status().code(), StatusCode::kInvalidArgument) << levels;
+    const auto objects = json::parse(nested(levels, "{\"a\":", "1", "}"));
+    EXPECT_EQ(objects.status().code(), StatusCode::kInvalidArgument) << levels;
+    // Unterminated bombs are refused the same way.
+    EXPECT_FALSE(json::parse(std::string(levels, '[')).ok()) << levels;
+  }
 }
 
 TEST(Json, PrettyPrintStable) {

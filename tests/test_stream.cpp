@@ -347,6 +347,62 @@ TEST(Operators, PtdrRerouteSwitchesOffCongestedRoute) {
   EXPECT_GT(out[0].value, 0.0);  // expected travel seconds of the choice
 }
 
+/// Feeds `op` 300 tumbling 30 s fcd windows from 06:30 to 09:00 of event
+/// time (24 seeded speed readings each, so the hour of day crosses the
+/// morning rush), closing each in turn. Returns the fingerprint of every
+/// output; `closings` counts the windows that emitted, and `rerouted`
+/// receives the operator's switch count.
+std::uint64_t ptdr_closings_fingerprint(PtdrRerouteOperator& op,
+                                        std::size_t segments,
+                                        std::size_t* closings,
+                                        std::uint64_t* rerouted) {
+  constexpr std::uint64_t kWindowUs = 30'000'000;
+  constexpr std::uint64_t kStartUs = 6'500ULL * 3'600'000;  // 06:30
+  Rng rng(2024);
+  std::vector<WindowOutput> outputs;
+  *closings = 0;
+  for (std::uint64_t w = 0; w < 300; ++w) {
+    const std::uint64_t begin = kStartUs + w * kWindowUs;
+    for (int e = 0; e < 24; ++e) {
+      op.offer(make_event("fcd", rng.uniform_int(segments),
+                          begin + rng.uniform_int(kWindowUs),
+                          static_cast<double>(5 + rng.uniform_int(116))));
+    }
+    const std::size_t before = outputs.size();
+    op.advance_watermark(begin + kWindowUs, &outputs);
+    if (outputs.size() > before) ++*closings;
+  }
+  *rerouted = op.rerouted();
+  return fingerprint(outputs);
+}
+
+TEST(Operators, PtdrRerouteMatchesGoldenFingerprint) {
+  auto network = std::make_shared<const apps::RoadNetwork>(
+      apps::RoadNetwork::make_grid(10, 10, 17));
+  WindowSpec spec;
+  spec.size_us = 30'000'000;
+  PtdrRerouteOperator op("ptdr_reroute", "fcd", spec, network,
+                         {{0, 99}, {9, 90}, {44, 55}, {3, 76}},
+                         PtdrRerouteConfig{});
+  std::size_t closings = 0;
+  std::uint64_t rerouted = 0;
+  const std::uint64_t fp = ptdr_closings_fingerprint(
+      op, network->num_segments(), &closings, &rerouted);
+  EXPECT_EQ(closings, 300u);
+  // Recorded when every closing still searched its alternatives afresh;
+  // any change to a route or its expected time changes them.
+  EXPECT_EQ(fp, 0x78eee0d027312bd8ULL);
+  EXPECT_EQ(rerouted, 88u);
+
+  // reset() keeps the memoized alternatives; a replay matches the run.
+  op.reset();
+  EXPECT_EQ(ptdr_closings_fingerprint(op, network->num_segments(), &closings,
+                                      &rerouted),
+            fp);
+  EXPECT_EQ(closings, 300u);
+  EXPECT_EQ(rerouted, 88u);
+}
+
 // ---- determinism (TEST_P: eviction policies × same-seed reruns) -----------
 
 /// One full pipeline run: seeded arrival schedule → engine (single lane,

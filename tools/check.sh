@@ -17,7 +17,9 @@
 #      injection exercises every short-write/EIO/ENOSPC cleanup path,
 #      and ASan proves none of them leaks or double-frees; plus serve and
 #      cluster, whose servers start and join their own worker threads
-#      and own each batch's lifetime across them.
+#      and own each batch's lifetime across them; plus common, whose JSON
+#      parser must reject malformed and over-nested input without a
+#      crash.
 # Every build compiles with -Werror (set through CMAKE_CXX_FLAGS, so the
 # project itself gains no option). Any failure aborts the script with a
 # non-zero exit.
@@ -75,13 +77,13 @@ cmake --build "$ROOT/build-tsan" -j "$JOBS" \
   -R 'test_serve|test_obs|test_data|test_cluster|test_storage|test_stream|test_jit|test_runtime')
 
 echo
-echo "=== [5/5] ASan: storage + data + serve + cluster tests ==="
+echo "=== [5/5] ASan: storage + data + serve + cluster + common tests ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DEVEREST_SANITIZE=address \
   -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
-  --target test_storage test_data test_serve test_cluster
+  --target test_storage test_data test_serve test_cluster test_common
 (cd "$ROOT/build-asan" && ctest --output-on-failure -j "$JOBS" \
-  -R 'test_storage|test_data|test_serve|test_cluster')
+  -R 'test_storage|test_data|test_serve|test_cluster|test_common')
 
 echo
 echo "check.sh: all gates passed."
