@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "dsl/einsum.hpp"
@@ -26,18 +27,18 @@ TensorValue TensorValue::from(std::vector<std::int64_t> shape,
 
 namespace {
 
-struct ValueKey {
-  const void* def;
-  unsigned index;
-  bool operator<(const ValueKey& other) const {
-    return def != other.def ? def < other.def : index < other.index;
-  }
-};
+using ir::ValueKey;
 
-ValueKey key_of(const ir::Value& v) {
-  if (v.is_op_result()) return {v.defining_op(), v.index()};
-  return {v.owner_block(), v.index() + (1u << 30)};
+/// Truncates toward zero like a cast, but maps NaN and values outside
+/// int64's range to INT64_MIN, which is what x86's cvttsd2si returns for
+/// them; the plain cast is undefined behaviour there.
+std::int64_t to_int64(double x) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  return x >= -kTwo63 && x < kTwo63 ? static_cast<std::int64_t>(x)
+                                    : std::numeric_limits<std::int64_t>::min();
 }
+
+}  // namespace
 
 double apply_binop(const std::string& kind, double a, double b) {
   if (kind == "add") return a + b;
@@ -45,9 +46,12 @@ double apply_binop(const std::string& kind, double a, double b) {
   if (kind == "mul") return a * b;
   if (kind == "div") return b != 0.0 ? a / b : 0.0;
   if (kind == "mod") {
-    return b != 0.0 ? static_cast<double>(static_cast<std::int64_t>(a) %
-                                          static_cast<std::int64_t>(b))
-                    : 0.0;
+    // Integer remainder of the truncated operands. A divisor that truncates
+    // to 0 gives 0, like division by zero; x % -1 is 0 for every x, and
+    // skipping it avoids INT64_MIN % -1, which traps.
+    const std::int64_t divisor = to_int64(b);
+    if (divisor == 0 || divisor == -1) return 0.0;
+    return static_cast<double>(to_int64(a) % divisor);
   }
   if (kind == "min") return std::min(a, b);
   if (kind == "max") return std::max(a, b);
@@ -68,6 +72,8 @@ double apply_unop(const std::string& fn, double x) {
   if (fn == "square") return x * x;
   return x;
 }
+
+namespace {
 
 // ------------------------------------------------------- tensor dialect --
 

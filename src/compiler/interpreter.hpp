@@ -2,8 +2,8 @@
 // functions (value semantics) and kernel-dialect functions (buffer
 // semantics) on f64 data. Used by the test suite to prove that the
 // tensor→kernel lowering and the loop transformations (tiling,
-// interchange) preserve semantics, and by the examples to actually run
-// compiled kernels.
+// interchange) preserve semantics. Constant folding evaluates scalars with
+// the same apply_binop/apply_unop, so it cannot drift from this reference.
 #pragma once
 
 #include <map>
@@ -29,6 +29,13 @@ struct TensorValue {
   static TensorValue from(std::vector<std::int64_t> shape,
                           std::vector<double> data);
 };
+
+/// Scalar semantics of kernel.binop (add, sub, mul, div, mod, min, max,
+/// cmplt, cmple) and kernel.unop, shared by both interpreters and by
+/// constant folding. `div` by zero, and `mod` by a divisor that truncates
+/// to zero, give 0; an unknown binop gives 0 and an unknown unop returns x.
+double apply_binop(const std::string& kind, double a, double b);
+double apply_unop(const std::string& fn, double x);
 
 /// Executes a tensor-dialect function on the given inputs (one TensorValue
 /// per function argument). Returns one value per function result.

@@ -20,19 +20,7 @@ using ir::Operation;
 using ir::ScalarKind;
 using ir::Type;
 using ir::Value;
-
-struct ValueKey {
-  const void* def;
-  unsigned index;
-  bool operator<(const ValueKey& other) const {
-    return def != other.def ? def < other.def : index < other.index;
-  }
-};
-
-ValueKey key_of(const Value& v) {
-  if (v.is_op_result()) return {v.defining_op(), v.index()};
-  return {v.owner_block(), v.index() + (1u << 30)};
-}
+using ir::ValueKey;
 
 bool is_elementwise(const Operation& op) {
   const std::string& n = op.name();

@@ -1,11 +1,10 @@
 #include "compiler/transforms.hpp"
 
-#include "compiler/dependence.hpp"
-
-#include <cmath>
 #include <map>
 #include <set>
 
+#include "compiler/dependence.hpp"
+#include "compiler/interpreter.hpp"
 #include "ir/builder.hpp"
 
 namespace everest::compiler {
@@ -18,6 +17,7 @@ using ir::OpBuilder;
 using ir::Operation;
 using ir::Type;
 using ir::Value;
+using ir::ValueKey;
 
 bool is_pure(const Operation& op) {
   const std::string& n = op.name();
@@ -28,36 +28,6 @@ bool is_pure(const Operation& op) {
   // Tensor-dialect value ops are pure; loads/stores/allocs and anything
   // with regions or workflow semantics are not.
   return n.rfind("tensor.", 0) == 0;
-}
-
-double eval_binop(const std::string& kind, double a, double b) {
-  if (kind == "add") return a + b;
-  if (kind == "sub") return a - b;
-  if (kind == "mul") return a * b;
-  if (kind == "div") return b != 0.0 ? a / b : 0.0;
-  if (kind == "mod") {
-    return b != 0.0 ? static_cast<double>(static_cast<std::int64_t>(a) %
-                                          static_cast<std::int64_t>(b))
-                    : 0.0;
-  }
-  if (kind == "min") return std::min(a, b);
-  if (kind == "max") return std::max(a, b);
-  if (kind == "cmplt") return a < b ? 1.0 : 0.0;
-  if (kind == "cmple") return a <= b ? 1.0 : 0.0;
-  return 0.0;
-}
-
-double eval_unop(const std::string& fn, double x) {
-  if (fn == "relu") return x > 0 ? x : 0.0;
-  if (fn == "exp") return std::exp(x);
-  if (fn == "log") return x > 0 ? std::log(x) : 0.0;
-  if (fn == "sqrt") return x >= 0 ? std::sqrt(x) : 0.0;
-  if (fn == "tanh") return std::tanh(x);
-  if (fn == "sigmoid") return 1.0 / (1.0 + std::exp(-x));
-  if (fn == "abs") return std::abs(x);
-  if (fn == "neg") return -x;
-  if (fn == "square") return x * x;
-  return x;
 }
 
 /// Extracts the f64 payload of a builtin.constant defining `v`, if any.
@@ -102,19 +72,6 @@ bool for_each_block_fixpoint(ir::Function& fn,
   return any;
 }
 
-struct ValueKey {
-  const void* def;
-  unsigned index;
-  bool operator<(const ValueKey& other) const {
-    return def != other.def ? def < other.def : index < other.index;
-  }
-};
-
-ValueKey key_of(const Value& v) {
-  if (v.is_op_result()) return {v.defining_op(), v.index()};
-  return {v.owner_block(), v.index() + (1u << 30)};
-}
-
 /// Collects use counts across the whole function.
 std::map<ValueKey, std::size_t> use_counts(ir::Function& fn) {
   std::map<ValueKey, std::size_t> uses;
@@ -139,13 +96,13 @@ Status ConstantFoldPass::run(ir::Module& module) {
           double a = 0, b = 0;
           if (constant_value(op.operand(0), &a) &&
               constant_value(op.operand(1), &b)) {
-            folded = eval_binop(op.str_attr("op"), a, b);
+            folded = apply_binop(op.str_attr("op"), a, b);
             can_fold = true;
           }
         } else if (op.name() == "kernel.unop") {
           double x = 0;
           if (constant_value(op.operand(0), &x)) {
-            folded = eval_unop(op.str_attr("fn"), x);
+            folded = apply_unop(op.str_attr("fn"), x);
             can_fold = true;
           }
         }

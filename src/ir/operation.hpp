@@ -61,6 +61,26 @@ class Value {
   Type type_;
 };
 
+/// A value's definition site as an ordered map key: the defining op and
+/// result index, or the owning block and argument index offset by 2^30 so
+/// that the two kinds never compare equal.
+struct ValueKey {
+  const void* def = nullptr;
+  unsigned index = 0;
+
+  static ValueKey block_arg(const Block* block, unsigned i) {
+    return {block, i + (1u << 30)};
+  }
+  bool operator<(const ValueKey& other) const {
+    return def != other.def ? def < other.def : index < other.index;
+  }
+};
+
+inline ValueKey key_of(const Value& v) {
+  return v.is_op_result() ? ValueKey{v.defining_op(), v.index()}
+                          : ValueKey::block_arg(v.owner_block(), v.index());
+}
+
 /// A region: an ordered list of blocks owned by an operation (or function).
 class Region {
  public:

@@ -8,6 +8,12 @@ namespace everest::ir {
 
 namespace {
 
+/// Deepest nesting parse_module() accepts, counted separately for op
+/// regions and for attribute arrays. The parser recurses once per level, so
+/// the cap bounds its stack use whatever the input; the compiler's own
+/// modules nest a handful of loops deep.
+constexpr int kMaxNestingDepth = 512;
+
 enum class Tok {
   kEnd, kIdent, kValueId, kSymbol, kCaret, kLParen, kRParen, kLBrace,
   kRBrace, kLBracket, kRBracket, kLess, kGreater, kColon, kComma, kEqual,
@@ -277,7 +283,8 @@ class IrParser {
     return error("missing element type");
   }
 
-  Result<Attribute> parse_attr_value() {
+  /// `depth` counts the attribute arrays enclosing this value.
+  Result<Attribute> parse_attr_value(int depth) {
     const Token& t = lexer_.peek();
     if (t.kind == Tok::kNumber) {
       Token n = lexer_.take();
@@ -288,6 +295,10 @@ class IrParser {
     }
     if (t.kind == Tok::kString) return Attribute::string(lexer_.take().text);
     if (t.kind == Tok::kLBracket) {
+      if (depth >= kMaxNestingDepth) {
+        return error("attribute arrays nest deeper than " +
+                     std::to_string(kMaxNestingDepth));
+      }
       lexer_.take();
       std::vector<Attribute> items;
       if (lexer_.peek().kind == Tok::kRBracket) {
@@ -295,7 +306,7 @@ class IrParser {
         return Attribute::array(std::move(items));
       }
       while (true) {
-        EVEREST_ASSIGN_OR_RETURN(Attribute a, parse_attr_value());
+        EVEREST_ASSIGN_OR_RETURN(Attribute a, parse_attr_value(depth + 1));
         items.push_back(std::move(a));
         if (lexer_.peek().kind == Tok::kComma) { lexer_.take(); continue; }
         EVEREST_RETURN_IF_ERROR(expect(Tok::kRBracket, "]"));
@@ -340,7 +351,7 @@ class IrParser {
       const std::string key = lexer_.take().text;
       if (lexer_.peek().kind == Tok::kEqual) {
         lexer_.take();
-        EVEREST_ASSIGN_OR_RETURN(Attribute v, parse_attr_value());
+        EVEREST_ASSIGN_OR_RETURN(Attribute v, parse_attr_value(0));
         attrs.emplace(key, std::move(v));
       } else {
         attrs.emplace(key, Attribute::unit());
@@ -389,7 +400,7 @@ class IrParser {
     }
     EVEREST_RETURN_IF_ERROR(expect(Tok::kLBrace, "{"));
     while (lexer_.peek().kind != Tok::kRBrace) {
-      EVEREST_RETURN_IF_ERROR(parse_op(fn->entry()));
+      EVEREST_RETURN_IF_ERROR(parse_op(fn->entry(), 0));
     }
     lexer_.take();  // }
     return OkStatus();
@@ -411,7 +422,8 @@ class IrParser {
     }
   }
 
-  Status parse_op(Block& block) {
+  /// `depth` counts the op regions enclosing this op.
+  Status parse_op(Block& block, int depth) {
     // Optional result list: "%0, %1 = "
     std::vector<std::string> result_names;
     if (lexer_.peek().kind == Tok::kValueId) {
@@ -460,6 +472,10 @@ class IrParser {
     }
     // Optional regions.
     while (lexer_.peek().kind == Tok::kLBrace) {
+      if (depth >= kMaxNestingDepth) {
+        return error("regions nest deeper than " +
+                     std::to_string(kMaxNestingDepth));
+      }
       lexer_.take();
       Region& region = op.emplace_region();
       while (lexer_.peek().kind == Tok::kCaret) {
@@ -486,7 +502,7 @@ class IrParser {
         }
         while (lexer_.peek().kind != Tok::kRBrace &&
                lexer_.peek().kind != Tok::kCaret) {
-          EVEREST_RETURN_IF_ERROR(parse_op(nested));
+          EVEREST_RETURN_IF_ERROR(parse_op(nested, depth + 1));
         }
       }
       EVEREST_RETURN_IF_ERROR(expect(Tok::kRBrace, "}"));

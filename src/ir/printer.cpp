@@ -7,14 +7,6 @@ namespace everest::ir {
 
 namespace {
 
-struct ValueKey {
-  const void* def;
-  unsigned index;
-  bool operator<(const ValueKey& other) const {
-    return def != other.def ? def < other.def : index < other.index;
-  }
-};
-
 class Printer {
  public:
   std::string print_function(const Function& fn) {
@@ -45,9 +37,7 @@ class Printer {
   void indent(int depth) { out_.append(static_cast<std::size_t>(depth) * 2, ' '); }
 
   std::string name_of(const Value& v) {
-    ValueKey key = v.is_op_result()
-                       ? ValueKey{v.defining_op(), v.index()}
-                       : ValueKey{v.owner_block(), v.index() + (1u << 30)};
+    const ValueKey key = key_of(v);
     auto it = names_.find(key);
     if (it != names_.end()) return it->second;
     const std::string name = "%" + std::to_string(next_id_++);
@@ -57,7 +47,7 @@ class Printer {
 
   void bind_block_args(const Block& block, bool entry_style) {
     for (unsigned i = 0; i < block.num_args(); ++i) {
-      ValueKey key{&block, i + (1u << 30)};
+      const ValueKey key = ValueKey::block_arg(&block, i);
       if (entry_style) {
         names_.emplace(key, "%arg" + std::to_string(i));
       } else {

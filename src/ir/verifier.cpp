@@ -8,20 +8,6 @@ namespace everest::ir {
 
 namespace {
 
-/// Identity of a value for def-before-use tracking.
-struct ValueKey {
-  const void* def;
-  unsigned index;
-  bool operator<(const ValueKey& other) const {
-    return def != other.def ? def < other.def : index < other.index;
-  }
-};
-
-ValueKey key_of(const Value& v) {
-  if (v.is_op_result()) return {v.defining_op(), v.index()};
-  return {v.owner_block(), v.index() + (1u << 30)};
-}
-
 class FunctionVerifier {
  public:
   Status run(const Function& fn) {
@@ -29,7 +15,7 @@ class FunctionVerifier {
     // Function arguments are visible throughout the body.
     const Block& entry = fn.entry();
     for (unsigned i = 0; i < entry.num_args(); ++i) {
-      visible.insert({&entry, i + (1u << 30)});
+      visible.insert(ValueKey::block_arg(&entry, i));
     }
     return verify_block(fn.entry(), visible, fn.name());
   }

@@ -1,9 +1,9 @@
 // Software AES-128 (reference implementation): block cipher, CTR mode, and
 // GCM authenticated encryption. This is the functional counterpart of the
 // EVEREST crypto accelerator library (paper §III-A/B); the HLS side models
-// its area/throughput, this side provides the actual data path used by the
-// runtime data-protection layer. Correctness is pinned to FIPS-197 /
-// NIST SP 800-38D test vectors in the test suite.
+// its area/throughput, this side provides the actual data path (the
+// air-quality example seals its emission records with it). Correctness is
+// pinned to FIPS-197 / NIST SP 800-38D test vectors in the test suite.
 //
 // Not constant-time; intended for functional simulation, not production.
 #pragma once

@@ -36,34 +36,4 @@ AnomalyDetector::Verdict AnomalyDetector::observe(const BehaviorSample& s) {
   return verdict;
 }
 
-std::string_view to_string(ProtectionLevel level) {
-  switch (level) {
-    case ProtectionLevel::kNormal: return "normal";
-    case ProtectionLevel::kMonitor: return "monitor";
-    case ProtectionLevel::kProtect: return "protect";
-    case ProtectionLevel::kQuarantine: return "quarantine";
-  }
-  return "?";
-}
-
-ProtectionLevel AutoProtectionPolicy::update(
-    const AnomalyDetector::Verdict& verdict) {
-  if (verdict.anomalous) {
-    clean_streak_ = 0;
-    if (++anomaly_streak_ >= options_.escalate_after &&
-        level_ != ProtectionLevel::kQuarantine) {
-      level_ = static_cast<ProtectionLevel>(static_cast<int>(level_) + 1);
-      anomaly_streak_ = 0;
-    }
-  } else {
-    anomaly_streak_ = 0;
-    if (++clean_streak_ >= options_.calm_after &&
-        level_ != ProtectionLevel::kNormal) {
-      level_ = static_cast<ProtectionLevel>(static_cast<int>(level_) - 1);
-      clean_streak_ = 0;
-    }
-  }
-  return level_;
-}
-
 }  // namespace everest::security

@@ -1,8 +1,9 @@
-// Hardware-monitor anomaly detection and the "auto-protection" escalation
-// policy (paper §III-B: "dedicated hardware monitors will detect anomalies
+// Hardware-monitor anomaly detection and the protection levels it can
+// raise (paper §III-B: "dedicated hardware monitors will detect anomalies
 // with respect to the expected data behaviors (timing patterns, access
 // patterns, typical sizes and ranges), activating proper dynamic adaptation
-// in the form of auto-protection").
+// in the form of auto-protection"). The autotuner enforces a level through
+// SystemState::protection.
 #pragma once
 
 #include <cstdint>
@@ -52,38 +53,12 @@ class AnomalyDetector {
   int n_ = 0;
 };
 
-/// Escalation levels of the auto-protection policy.
+/// Protection levels, mildest first.
 enum class ProtectionLevel : std::uint8_t {
   kNormal = 0,     // plain variants allowed
   kMonitor,        // log + prefer DIFT-instrumented variants
   kProtect,        // require DIFT + encrypted variants
   kQuarantine,     // stop dispatching the kernel entirely
-};
-
-std::string_view to_string(ProtectionLevel level);
-
-/// Maps a stream of anomaly verdicts to a protection level with hysteresis:
-/// consecutive anomalies escalate, sustained clean behavior de-escalates.
-class AutoProtectionPolicy {
- public:
-  struct Options {
-    int escalate_after = 3;     // consecutive anomalies per step up
-    int calm_after = 50;        // consecutive clean samples per step down
-  };
-
-  AutoProtectionPolicy() = default;
-  explicit AutoProtectionPolicy(Options options) : options_(options) {}
-
-  /// Feeds one verdict; returns the (possibly new) level.
-  ProtectionLevel update(const AnomalyDetector::Verdict& verdict);
-
-  [[nodiscard]] ProtectionLevel level() const { return level_; }
-
- private:
-  Options options_{};
-  ProtectionLevel level_ = ProtectionLevel::kNormal;
-  int anomaly_streak_ = 0;
-  int clean_streak_ = 0;
 };
 
 }  // namespace everest::security

@@ -120,27 +120,4 @@ std::string to_hex(const Sha256Digest& digest) {
   return out;
 }
 
-Sha256Digest hmac_sha256(const std::vector<std::uint8_t>& key,
-                         const std::vector<std::uint8_t>& message) {
-  std::vector<std::uint8_t> k = key;
-  if (k.size() > 64) {
-    const Sha256Digest d = sha256(k);
-    k.assign(d.begin(), d.end());
-  }
-  k.resize(64, 0);
-  std::vector<std::uint8_t> inner(64), outer(64);
-  for (int i = 0; i < 64; ++i) {
-    inner[static_cast<std::size_t>(i)] = k[static_cast<std::size_t>(i)] ^ 0x36;
-    outer[static_cast<std::size_t>(i)] = k[static_cast<std::size_t>(i)] ^ 0x5c;
-  }
-  Sha256 hi;
-  hi.update(inner);
-  hi.update(message);
-  const Sha256Digest inner_digest = hi.finalize();
-  Sha256 ho;
-  ho.update(outer);
-  ho.update(inner_digest.data(), inner_digest.size());
-  return ho.finalize();
-}
-
 }  // namespace everest::security

@@ -1,5 +1,5 @@
-// SHA-256 (FIPS 180-4) — the integrity/authentication primitive of the
-// EVEREST data-protection layer. Verified against NIST test vectors.
+// SHA-256 (FIPS 180-4): the software counterpart of the sha256 cores in
+// the crypto accelerator library. Verified against NIST test vectors.
 #pragma once
 
 #include <array>
@@ -36,9 +36,5 @@ Sha256Digest sha256(const std::string& text);
 
 /// Hex rendering of a digest.
 std::string to_hex(const Sha256Digest& digest);
-
-/// HMAC-SHA256 (RFC 2104) for authenticated task metadata.
-Sha256Digest hmac_sha256(const std::vector<std::uint8_t>& key,
-                         const std::vector<std::uint8_t>& message);
 
 }  // namespace everest::security

@@ -1,5 +1,4 @@
-// Tests for the cache simulator (trace-based locality model) and the
-// protected data store (encrypted, labeled object storage).
+// Tests for the cache simulator (trace-based locality model).
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -7,7 +6,6 @@
 #include "compiler/lowering.hpp"
 #include "compiler/transforms.hpp"
 #include "dsl/tensor_expr.hpp"
-#include "security/protected_store.hpp"
 
 namespace everest::compiler {
 namespace {
@@ -133,90 +131,3 @@ TEST(KernelCache, MissingNestFails) {
 
 }  // namespace
 }  // namespace everest::compiler
-
-namespace everest::security {
-namespace {
-
-std::vector<std::uint8_t> bytes_of(const std::string& s) {
-  return {s.begin(), s.end()};
-}
-
-TEST(ProtectedStore, PutGetRoundTrip) {
-  ProtectedStore store(bytes_of("master-secret"));
-  ASSERT_TRUE(store.put("weather", bytes_of("ensemble payload")).ok());
-  EXPECT_TRUE(store.contains("weather"));
-  EXPECT_EQ(store.size(), 1u);
-  auto out = store.get("weather", TaintLabel{});
-  ASSERT_TRUE(out.ok()) << out.status().to_string();
-  EXPECT_EQ(*out, bytes_of("ensemble payload"));
-  EXPECT_GT(store.bytes_at_rest(), 0u);
-}
-
-TEST(ProtectedStore, ClearanceEnforced) {
-  ProtectedStore store(bytes_of("master-secret"));
-  ASSERT_TRUE(store.put("fcd", bytes_of("vehicle traces"),
-                        TaintLabel({"pii", "confidential"}))
-                  .ok());
-  EXPECT_EQ(store.get("fcd", TaintLabel{}).status().code(),
-            StatusCode::kPermissionDenied);
-  EXPECT_EQ(store.get("fcd", TaintLabel({"pii"})).status().code(),
-            StatusCode::kPermissionDenied);
-  auto ok = store.get("fcd", TaintLabel({"pii", "confidential", "extra"}));
-  EXPECT_TRUE(ok.ok());
-  EXPECT_TRUE(store.label_of("fcd").has("pii"));
-}
-
-TEST(ProtectedStore, TamperingDetected) {
-  ProtectedStore store(bytes_of("master-secret"));
-  ASSERT_TRUE(store.put("model", bytes_of("weights....")).ok());
-  ASSERT_TRUE(store.corrupt("model", 3).ok());
-  EXPECT_EQ(store.get("model", TaintLabel{}).status().code(),
-            StatusCode::kDataLoss);
-}
-
-TEST(ProtectedStore, EmptyPayloadStillAuthenticated) {
-  ProtectedStore store(bytes_of("k"));
-  ASSERT_TRUE(store.put("empty", {}).ok());
-  EXPECT_TRUE(store.get("empty", TaintLabel{}).ok());
-  ASSERT_TRUE(store.corrupt("empty", 0).ok());
-  EXPECT_EQ(store.get("empty", TaintLabel{}).status().code(),
-            StatusCode::kDataLoss);
-}
-
-TEST(ProtectedStore, OverwriteBumpsVersionAndIv) {
-  ProtectedStore store(bytes_of("master"));
-  ASSERT_TRUE(store.put("obj", bytes_of("v1")).ok());
-  ASSERT_TRUE(store.put("obj", bytes_of("v2")).ok());
-  auto out = store.get("obj", TaintLabel{});
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(*out, bytes_of("v2"));
-}
-
-TEST(ProtectedStore, CiphertextNotSwappableBetweenNames) {
-  // Same plaintext under two names yields different ciphertext (different
-  // derived keys + AAD binding): the store must never confuse them.
-  ProtectedStore store(bytes_of("master"));
-  ASSERT_TRUE(store.put("a", bytes_of("same-bytes")).ok());
-  ASSERT_TRUE(store.put("b", bytes_of("same-bytes")).ok());
-  auto a = store.get("a", TaintLabel{});
-  auto b = store.get("b", TaintLabel{});
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(*a, *b);
-  EXPECT_EQ(store.get("missing", TaintLabel{}).status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST(ProtectedStore, DifferentMastersCannotRead) {
-  ProtectedStore alice(bytes_of("alice-secret"));
-  ASSERT_TRUE(alice.put("doc", bytes_of("private")).ok());
-  // Simulate an attacker replaying the stored object with another master:
-  // rebuild a store and inject via put, then corrupt to mimic — simplest
-  // equivalent check: a fresh store does not contain the object at all and
-  // a corrupted copy fails DATA_LOSS (covered above). Here we confirm keys
-  // differ by observing that tampering detection uses the derived key.
-  ProtectedStore bob(bytes_of("bob-secret"));
-  EXPECT_FALSE(bob.contains("doc"));
-}
-
-}  // namespace
-}  // namespace everest::security

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "compiler/analysis.hpp"
 #include "compiler/dse.hpp"
+#include "compiler/interpreter.hpp"
 #include "compiler/lowering.hpp"
 #include "compiler/transforms.hpp"
 #include "compiler/variants.hpp"
@@ -257,6 +258,64 @@ TEST(Transforms, ConstantFoldCollapsesArithmetic) {
     }
   });
   EXPECT_TRUE(value_ok);
+}
+
+/// Folds `a <op> b` over two constants and returns the folded constant.
+double fold_binop(const std::string& op, double a, double b) {
+  ir::register_everest_dialects();
+  ir::Module m("t");
+  ir::Function* fn = m.add_function("f", ir::Type::function({}, {})).value();
+  ir::OpBuilder builder(&fn->entry());
+  ir::Value result = builder.create_value(
+      "kernel.binop", {builder.constant_f64(a), builder.constant_f64(b)},
+      ir::Type::f64(), {{"op", ir::Attribute::string(op)}});
+  ir::Value mem = builder.create_value(
+      "kernel.alloc", {}, ir::Type::memref({}, ir::ScalarKind::kF64,
+                                           ir::MemorySpace::kOnChip));
+  builder.create("kernel.store", {result, mem}, {});
+  builder.ret();
+  EXPECT_TRUE(ConstantFoldPass().run(m).ok());
+  for (const auto& op : fn->entry()) {
+    if (op->name() != "kernel.store") continue;
+    const ir::Operation* folded = op->operand(0).defining_op();
+    EXPECT_EQ(folded->name(), "builtin.constant");
+    return folded->double_attr("value");
+  }
+  ADD_FAILURE() << "store lost";
+  return 0.0;
+}
+
+TEST(Transforms, ConstantFoldModNeverTraps) {
+  struct Case {
+    double a, b, expected;
+  };
+  const double int64_min = -9223372036854775808.0;
+  const Case cases[] = {
+      // A divisor in (-1, 1) truncates to 0 and folds to 0, like `mod 0`;
+      // the integer remainder by that 0 used to trap.
+      {7.0, 0.5, 0.0},
+      {7.0, -0.25, 0.0},
+      {7.0, 0.0, 0.0},
+      // INT64_MIN % -1 overflows the quotient and traps too.
+      {int64_min, -1.0, 0.0},
+      {5.0, -1.0, 0.0},
+      // Ordinary operands keep the truncating integer remainder.
+      {7.0, 3.0, 1.0},
+      {-7.0, 3.0, -1.0},
+      {7.9, 2.5, 1.0},
+      {int64_min, 7.0, -1.0},
+  };
+  for (const Case& c : cases) {
+    const double folded = fold_binop("mod", c.a, c.b);
+    EXPECT_EQ(folded, c.expected) << c.a << " mod " << c.b;
+    // Folding evaluates with the interpreter's semantics, not a copy.
+    EXPECT_EQ(folded, apply_binop("mod", c.a, c.b)) << c.a << " mod " << c.b;
+  }
+  // NaN and operands beyond int64 fold without an out-of-range cast.
+  for (const double wild : {std::nan(""), 1e300, -1e300, HUGE_VAL}) {
+    EXPECT_EQ(fold_binop("mod", wild, 3.0), apply_binop("mod", wild, 3.0));
+    EXPECT_EQ(fold_binop("mod", 3.0, wild), apply_binop("mod", 3.0, wild));
+  }
 }
 
 TEST(Transforms, CseMergesIdenticalPureOps) {

@@ -1,7 +1,7 @@
 // Breadth-coverage tests for corners the per-module suites do not reach:
-// IR block surgery and pattern ordering, dialect registry queries, HLS
-// device presets and config plumbing, knowledge-base/autotuner scoring
-// details, workflow-from-IR integration, and app physics edge cases.
+// IR block surgery, dialect registry queries, HLS device presets and
+// config plumbing, knowledge-base/autotuner scoring details,
+// workflow-from-IR integration, and app physics edge cases.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "hls/hls.hpp"
 #include "ir/builder.hpp"
 #include "ir/dialect.hpp"
-#include "ir/pattern.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 #include "runtime/autotuner.hpp"
@@ -82,45 +81,6 @@ TEST(IrSurgery, WalkIsPreOrder) {
   EXPECT_EQ(order[0], "kernel.for");   // parent before children
   EXPECT_EQ(order[1], "kernel.yield");
   EXPECT_EQ(order[2], "builtin.return");
-}
-
-// Benefit ordering: the higher-benefit pattern must win when both match.
-class TagPattern : public ir::RewritePattern {
- public:
-  TagPattern(int benefit, std::string tag, std::vector<std::string>* log)
-      : benefit_(benefit), tag_(std::move(tag)), log_(log) {}
-  [[nodiscard]] std::string_view name() const override { return tag_; }
-  [[nodiscard]] int benefit() const override { return benefit_; }
-  bool match_and_rewrite(ir::Block& block, std::size_t index,
-                         ir::PatternRewriter& rewriter) override {
-    ir::Operation& op = block.op(index);
-    if (op.name() != "builtin.call" || op.has_attr("tagged")) return false;
-    op.set_attr("tagged", ir::Attribute::string(tag_));
-    log_->push_back(tag_);
-    rewriter.mark_changed();
-    return true;
-  }
-
- private:
-  int benefit_;
-  std::string tag_;
-  std::vector<std::string>* log_;
-};
-
-TEST(IrSurgery, PatternBenefitOrdering) {
-  ir::register_everest_dialects();
-  ir::Module m("t");
-  ir::Function* fn = m.add_function("f", ir::Type::function({}, {})).value();
-  ir::OpBuilder b(&fn->entry());
-  b.call("g", {}, {});
-  b.ret();
-  std::vector<std::string> log;
-  std::vector<std::unique_ptr<ir::RewritePattern>> patterns;
-  patterns.push_back(std::make_unique<TagPattern>(1, "low", &log));
-  patterns.push_back(std::make_unique<TagPattern>(10, "high", &log));
-  EXPECT_TRUE(ir::apply_patterns_greedily(*fn, patterns));
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0], "high");
 }
 
 TEST(DialectRegistry, QueriesWork) {

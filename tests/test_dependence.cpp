@@ -1,5 +1,5 @@
 // Tests for the dependence analysis (direction vectors, interchange
-// legality, innermost-parallelism) and the NN exchange-format importer.
+// legality, innermost-parallelism).
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -7,7 +7,6 @@
 #include "compiler/interpreter.hpp"
 #include "compiler/lowering.hpp"
 #include "compiler/transforms.hpp"
-#include "dsl/nn_exchange.hpp"
 #include "dsl/tensor_expr.hpp"
 #include "ir/builder.hpp"
 #include "ir/dialect.hpp"
@@ -174,108 +173,3 @@ TEST(Dependence, MissingNestReported) {
 
 }  // namespace
 }  // namespace everest::compiler
-
-// ------------------------------------------------------------ NN exchange --
-
-namespace everest::dsl {
-namespace {
-
-TEST(NnExchange, ImportsMlpModel) {
-  NnModelBuilder builder("two_layer");
-  builder.input("x", {2, 3})
-      .initializer("W1", {3, 4}, std::vector<double>(12, 0.5))
-      .initializer("b1", {2, 4}, std::vector<double>(8, 0.1))
-      .initializer("W2", {4, 1}, std::vector<double>(4, 1.0))
-      .node("MatMul", {"x", "W1"}, "h0")
-      .node("Add", {"h0", "b1"}, "h1")
-      .node("Tanh", {"h1"}, "h2")
-      .node("MatMul", {"h2", "W2"}, "y")
-      .output("y");
-  auto program = import_nn_model(builder.to_json());
-  ASSERT_TRUE(program.ok()) << program.status().to_string();
-  auto module = program->lower();
-  ASSERT_TRUE(module.ok()) << module.status().to_string();
-  EXPECT_TRUE(ir::verify(*module).ok()) << ir::verify(*module).to_string();
-  // Executable end-to-end through the reference interpreter.
-  compiler::TensorValue x = compiler::TensorValue::zeros({2, 3});
-  for (std::size_t i = 0; i < x.data.size(); ++i) x.data[i] = 0.1 * double(i);
-  auto result = compiler::run_tensor_function(*module, "two_layer", {x});
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_EQ((*result)[0].shape, (std::vector<std::int64_t>{2, 1}));
-  // Hand-check row 0: h0 = sum(x_row)*0.5 per col; h1 = h0+0.1;
-  // y = 4*tanh(h1).
-  const double h0 = (0.0 + 0.1 + 0.2) * 0.5;
-  const double expected = 4.0 * std::tanh(h0 + 0.1);
-  EXPECT_NEAR((*result)[0].data[0], expected, 1e-12);
-}
-
-TEST(NnExchange, SupportsEinsumTransposeReduceScale) {
-  NnModelBuilder builder("misc");
-  builder.input("a", {2, 3})
-      .input("b", {2, 3})
-      .node("Einsum", {"a", "b"}, "dot", json::Value("ij,kj->ik"))
-      .node("Transpose", {"dot"}, "dt", json::Value(json::Array{1, 0}))
-      .node("Scale", {"dt"}, "scaled", json::Value(2.0))
-      .node("ReduceSum", {"scaled"}, "total")
-      .output("total");
-  auto program = import_nn_model(builder.to_json());
-  ASSERT_TRUE(program.ok()) << program.status().to_string();
-  auto module = program->lower();
-  ASSERT_TRUE(module.ok()) << module.status().to_string();
-  compiler::TensorValue a = compiler::TensorValue::from({2, 3},
-                                                        {1, 2, 3, 4, 5, 6});
-  auto result = compiler::run_tensor_function(*module, "misc", {a, a});
-  ASSERT_TRUE(result.ok());
-  // dot = A A^T; total = 2 * sum(dot) = 2*(14+32+32+77).
-  EXPECT_NEAR((*result)[0].data[0], 2.0 * (14 + 32 + 32 + 77), 1e-12);
-}
-
-TEST(NnExchange, RejectsMalformedModels) {
-  EXPECT_FALSE(import_nn_model("{not json").ok());
-  EXPECT_FALSE(import_nn_model(R"({"format": "onnx"})").ok());
-  // Undefined tensor.
-  NnModelBuilder b1("bad");
-  b1.input("x", {2, 2}).node("Relu", {"ghost"}, "y").output("y");
-  EXPECT_EQ(import_nn_model(b1.to_json()).status().code(),
-            StatusCode::kNotFound);
-  // Duplicate definition.
-  NnModelBuilder b2("dup");
-  b2.input("x", {2, 2})
-      .node("Relu", {"x"}, "y")
-      .node("Exp", {"x"}, "y")
-      .output("y");
-  EXPECT_EQ(import_nn_model(b2.to_json()).status().code(),
-            StatusCode::kAlreadyExists);
-  // Unsupported op.
-  NnModelBuilder b3("conv");
-  b3.input("x", {2, 2}).node("Conv", {"x"}, "y").output("y");
-  EXPECT_EQ(import_nn_model(b3.to_json()).status().code(),
-            StatusCode::kUnimplemented);
-  // Shape mismatch surfaces as InvalidArgument with the node name.
-  NnModelBuilder b4("mismatch");
-  b4.input("x", {2, 3})
-      .input("w", {4, 5})
-      .node("MatMul", {"x", "w"}, "y")
-      .output("y");
-  auto bad = import_nn_model(b4.to_json());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.status().message().find("y"), std::string::npos);
-}
-
-TEST(NnExchange, ImportedModelFlowsThroughLowering) {
-  NnModelBuilder builder("flow");
-  builder.input("x", {8, 16})
-      .initializer("W", {16, 4}, std::vector<double>(64, 0.25))
-      .node("MatMul", {"x", "W"}, "h")
-      .node("Relu", {"h"}, "y")
-      .output("y");
-  auto program = import_nn_model(builder.to_json());
-  ASSERT_TRUE(program.ok());
-  auto module = program->lower();
-  ASSERT_TRUE(module.ok());
-  auto kernel = compiler::lower_to_kernel(*module, "flow");
-  EXPECT_TRUE(kernel.ok()) << kernel.status().to_string();
-}
-
-}  // namespace
-}  // namespace everest::dsl

@@ -12,6 +12,8 @@
 #include "compiler/lowering.hpp"
 #include "compiler/transforms.hpp"
 #include "dsl/tensor_expr.hpp"
+#include "ir/builder.hpp"
+#include "ir/dialect.hpp"
 #include "ir/verifier.hpp"
 
 namespace everest::compiler {
@@ -116,6 +118,70 @@ TEST(Interpreter, ContractBatched) {
   check_lowering_equivalence(
       p, {random_tensor({3, 4, 5}, rng), random_tensor({3, 5, 2}, rng)},
       1e-12);
+}
+
+TEST(Interpreter, TransposedContractionScaleAndSum) {
+  // A·Bᵀ through "ij,kj->ik": the contraction walks both operands along
+  // their rows. Then transpose, scale and sum.
+  TensorProgram p("misc");
+  auto a = p.input("a", {2, 3});
+  auto b = p.input("b", {2, 3});
+  p.output("total",
+           reduce("sum", scale(transpose(dsl::contract("ij,kj->ik", {a, b}),
+                                         {1, 0}),
+                               2.0)));
+  auto module = p.lower();
+  ASSERT_TRUE(module.ok()) << module.status().to_string();
+  const TensorValue x = TensorValue::from({2, 3}, {1, 2, 3, 4, 5, 6});
+  auto result = run_tensor_function(*module, "misc", {x, x});
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  // X·Xᵀ = [[14, 32], [32, 77]]; the total is twice its sum.
+  EXPECT_NEAR((*result)[0].data[0], 2.0 * (14 + 32 + 32 + 77), 1e-12);
+  check_lowering_equivalence(p, {x, x}, 1e-12);
+}
+
+/// A kernel-dialect function computing out[0] = in[0] mod in[1].
+ir::Module mod_kernel_module() {
+  ir::register_everest_dialects();
+  ir::Module m("modk");
+  const ir::Type buf =
+      ir::Type::memref({2}, ir::ScalarKind::kF64, ir::MemorySpace::kDevice);
+  ir::Function* fn =
+      m.add_function("modk", ir::Type::function({buf, buf}, {})).value();
+  fn->set_attr("ev.num_inputs", ir::Attribute::integer(1));
+  fn->set_attr("ev.num_outputs", ir::Attribute::integer(1));
+  ir::OpBuilder b(&fn->entry());
+  const ir::Value i0 = b.constant_index(0);
+  const ir::Value i1 = b.constant_index(1);
+  const ir::Value x =
+      b.create_value("kernel.load", {fn->arg(0), i0}, ir::Type::f64());
+  const ir::Value y =
+      b.create_value("kernel.load", {fn->arg(0), i1}, ir::Type::f64());
+  const ir::Value r = b.create_value("kernel.binop", {x, y}, ir::Type::f64(),
+                                     {{"op", ir::Attribute::string("mod")}});
+  b.create("kernel.store", {r, fn->arg(1), i0}, {});
+  b.ret();
+  return m;
+}
+
+TEST(Interpreter, KernelModNeverTraps) {
+  ir::Module m = mod_kernel_module();
+  ASSERT_TRUE(ir::verify(m).ok()) << ir::verify(m).to_string();
+  struct Case {
+    double a, b, expected;
+  };
+  const Case cases[] = {
+      {7.0, 0.5, 0.0},                     // divisor truncates to 0
+      {-9223372036854775808.0, -1.0, 0.0},  // INT64_MIN % -1 overflows
+      {7.0, 3.0, 1.0},
+      {-7.0, 3.0, -1.0},
+  };
+  for (const Case& c : cases) {
+    auto out =
+        run_kernel_function(m, "modk", {TensorValue::from({2}, {c.a, c.b})});
+    ASSERT_TRUE(out.ok()) << out.status().to_string();
+    EXPECT_EQ((*out)[0].data[0], c.expected) << c.a << " mod " << c.b;
+  }
 }
 
 TEST(Interpreter, ReduceKindsIncludingNegatives) {

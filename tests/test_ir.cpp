@@ -1,12 +1,11 @@
 // Unit tests for the IR core: types, attributes, operations, module
-// structure, builder, verifier, pass manager, and pattern driver.
+// structure, builder, verifier, and pass manager.
 #include <gtest/gtest.h>
 
 #include "ir/builder.hpp"
 #include "ir/dialect.hpp"
 #include "ir/module.hpp"
 #include "ir/pass.hpp"
-#include "ir/pattern.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 
@@ -359,48 +358,6 @@ TEST(PassManager, CatchesIrBreakageWhenVerifying) {
   Status st = pm.run(m);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("broke the IR"), std::string::npos);
-}
-
-// --------------------------------------------------------------- Pattern --
-
-/// Folds tensor.add(x, x) into tensor.scale(x, 2.0) — a toy strength
-/// reduction used to exercise the greedy driver.
-class AddSelfToScale : public RewritePattern {
- public:
-  [[nodiscard]] std::string_view name() const override { return "add-self"; }
-  bool match_and_rewrite(Block& block, std::size_t index,
-                         PatternRewriter& rewriter) override {
-    Operation& op = block.op(index);
-    if (op.name() != "tensor.add") return false;
-    if (!(op.operand(0) == op.operand(1))) return false;
-    OpBuilder b;
-    b.set_insertion_point(&block, index);
-    Value two = b.constant_f64(2.0);
-    Value scaled = b.create_value("tensor.scale", {op.operand(0), two},
-                                  op.result_types()[0]);
-    // The original op shifted to index + 2 after two insertions.
-    rewriter.replace_uses(block.op(index + 2).result(0), scaled);
-    rewriter.erase_op(index + 2);
-    return true;
-  }
-};
-
-TEST(Pattern, GreedyDriverAppliesAndReachesFixpoint) {
-  Module m = make_simple_module();
-  std::vector<std::unique_ptr<RewritePattern>> patterns;
-  patterns.push_back(std::make_unique<AddSelfToScale>());
-  Function* fn = m.find("double_it");
-  EXPECT_TRUE(apply_patterns_greedily(*fn, patterns));
-  EXPECT_TRUE(verify(m).ok()) << verify(m).to_string() << "\n" << print(m);
-  bool has_scale = false, has_add = false;
-  fn->walk([&](Operation& op) {
-    has_scale |= op.name() == "tensor.scale";
-    has_add |= op.name() == "tensor.add";
-  });
-  EXPECT_TRUE(has_scale);
-  EXPECT_FALSE(has_add);
-  // Second run: no more matches.
-  EXPECT_FALSE(apply_patterns_greedily(*fn, patterns));
 }
 
 }  // namespace

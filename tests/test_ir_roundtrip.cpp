@@ -212,5 +212,125 @@ TEST_P(RandomDagRoundTrip, PrintParsePrintIsStable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagRoundTrip, ::testing::Range(0, 20));
 
+// ------------------------------------------------------- hostile input --
+
+/// `levels` copies of `open`, then `inner`, then `levels` copies of `close`.
+std::string nested(std::size_t levels, const std::string& open,
+                   const std::string& inner, const std::string& close) {
+  std::string text;
+  text.reserve(levels * (open.size() + close.size()) + inner.size());
+  for (std::size_t i = 0; i < levels; ++i) text += open;
+  text += inner;
+  for (std::size_t i = 0; i < levels; ++i) text += close;
+  return text;
+}
+
+TEST(IrParser, NestingBombReturnsInvalidArgument) {
+  // Each level is an op whose one region holds the next op.
+  auto regions = [](std::size_t levels) {
+    return "module @m {\nfunc @f() -> () {\n" +
+           nested(levels, "x() : () -> () {^():\n", "x() : () -> ()\n",
+                  "}\n") +
+           "builtin.return() : () -> ()\n}\n}\n";
+  };
+  // Each level is an attribute array holding the next.
+  auto arrays = [](std::size_t levels) {
+    return "module @m attributes {a = " + nested(levels, "[", "1", "]") +
+           "} {\n}\n";
+  };
+  // 512 levels parse; one more is refused before the parser recurses.
+  const auto deepest_regions = parse_module(regions(512));
+  EXPECT_TRUE(deepest_regions.ok()) << deepest_regions.status().to_string();
+  const auto deepest_arrays = parse_module(arrays(512));
+  EXPECT_TRUE(deepest_arrays.ok()) << deepest_arrays.status().to_string();
+  for (const std::size_t levels : {513u, 1'000'000u}) {
+    EXPECT_EQ(parse_module(regions(levels)).status().code(),
+              StatusCode::kInvalidArgument)
+        << levels;
+    EXPECT_EQ(parse_module(arrays(levels)).status().code(),
+              StatusCode::kInvalidArgument)
+        << levels;
+  }
+}
+
+/// A module touching most of the grammar: module and function attributes,
+/// every attribute kind, nested regions with block arguments, calls.
+Module grammar_sample() {
+  register_everest_dialects();
+  Module m("sample");
+  m.attributes()["version"] = Attribute::integer(2);
+  Type mem = Type::memref({8, 8}, ScalarKind::kF64, MemorySpace::kOnChip);
+  Function* fn = m.add_function("k", Type::function({mem}, {})).value();
+  fn->set_attr("target", Attribute::string("fpga"));
+  OpBuilder b(&fn->entry());
+  b.create("builtin.call", {}, {},
+           {{"callee", Attribute::string("target")},
+            {"flag", Attribute::unit()},
+            {"enabled", Attribute::boolean(true)},
+            {"count", Attribute::integer(-12)},
+            {"scale", Attribute::real(2.5)},
+            {"shape", Attribute::int_array({1, 2, 3})},
+            {"weights", Attribute::dense_f64({0.5, -1.25, 3.0})},
+            {"ty", Attribute::type(Type::tensor({2, 2}, ScalarKind::kF32))}});
+  Operation& loop = b.create("kernel.for", {}, {},
+                             {{"lb", Attribute::integer(0)},
+                              {"ub", Attribute::integer(8)},
+                              {"step", Attribute::integer(1)}});
+  Block& body = loop.emplace_region().emplace_block({Type::index()});
+  OpBuilder lb(&body);
+  Value x = lb.create_value("kernel.load", {fn->arg(0), body.arg(0),
+                                            body.arg(0)},
+                            Type::f64());
+  Value y = lb.create_value("kernel.binop", {x, x}, Type::f64(),
+                            {{"op", Attribute::string("mul")}});
+  lb.create("kernel.store", {y, fn->arg(0), body.arg(0), body.arg(0)}, {});
+  lb.create("kernel.yield", {}, {});
+  b.ret();
+  return m;
+}
+
+/// Seeded byte mutations of a printed module: whatever the bytes, the
+/// parser returns a Status, and a module it accepts can be verified.
+class MutatedModuleParse : public ::testing::TestWithParam<int> {};
+
+TEST_P(MutatedModuleParse, EveryInputReturnsAStatus) {
+  const std::string base = print(grammar_sample());
+  ASSERT_TRUE(parse_module(base).ok());
+  static const std::string kTokens = "{}[]()<>^%@:,=-\"x0123456789.e \n";
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 1);
+  for (int input = 0; input < 250; ++input) {
+    std::string text = base;
+    const auto edits = 1 + rng.uniform_int(4);
+    for (std::uint64_t e = 0; e < edits && !text.empty(); ++e) {
+      const std::size_t pos = rng.uniform_int(text.size());
+      switch (rng.uniform_int(4)) {
+        case 0:  // a grammar character
+          text[pos] = kTokens[rng.uniform_int(kTokens.size())];
+          break;
+        case 1:  // any byte
+          text[pos] = static_cast<char>(rng.uniform_int(256));
+          break;
+        case 2:  // drop a run
+          text.erase(pos, 1 + rng.uniform_int(8));
+          break;
+        default:  // duplicate a run from elsewhere
+          text.insert(pos, text.substr(rng.uniform_int(text.size()),
+                                       1 + rng.uniform_int(16)));
+      }
+    }
+    const auto parsed = parse_module(text);
+    if (parsed.ok()) {
+      (void)verify(**parsed);
+    } else {
+      const StatusCode code = parsed.status().code();
+      EXPECT_TRUE(code == StatusCode::kInvalidArgument ||
+                  code == StatusCode::kAlreadyExists)
+          << parsed.status().to_string();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MutatedModuleParse, ::testing::Range(0, 16));
+
 }  // namespace
 }  // namespace everest::ir

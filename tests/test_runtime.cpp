@@ -1,15 +1,12 @@
-// Tests for the virtualized runtime: knowledge base, autotuner selection
-// under goals/states/protection levels, hypervisor VM + vFPGA multiplexing,
-// and the closed adaptation loop (including auto-protection reactions).
+// Tests for the runtime: knowledge base, autotuner selection under
+// goals/states/protection levels, and knowledge-base hot swap.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
-#include "runtime/adaptation.hpp"
 #include "runtime/autotuner.hpp"
 #include "runtime/knowledge.hpp"
-#include "runtime/vm.hpp"
 
 namespace everest::runtime {
 namespace {
@@ -216,208 +213,6 @@ TEST(Autotuner, MissingKernelReported) {
   Autotuner tuner(&kb);
   EXPECT_EQ(tuner.select("ghost", Goal{}, SystemState{}).status().code(),
             StatusCode::kNotFound);
-}
-
-// ------------------------------------------------------------ Hypervisor --
-
-Hypervisor make_hypervisor() {
-  auto spec = platform::PlatformSpec::everest_reference(1, 0, 0);
-  return Hypervisor(*spec.find("p9-0"), spec);
-}
-
-TEST(Hypervisor, VmCreationAndOvercommitLimit) {
-  Hypervisor hv = make_hypervisor();
-  VmConfig config;
-  config.name = "vm0";
-  config.vcpus = 16;
-  ASSERT_TRUE(hv.create_vm(config).ok());
-  EXPECT_DOUBLE_EQ(hv.cpu_pressure(), 1.0);
-  config.name = "vm1";
-  ASSERT_TRUE(hv.create_vm(config).ok());  // 2x overcommit allowed
-  config.name = "vm2";
-  EXPECT_EQ(hv.create_vm(config).status().code(),
-            StatusCode::kResourceExhausted);
-  config.vcpus = 0;
-  EXPECT_EQ(hv.create_vm(config).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(Hypervisor, CpuExecutionStretchedByOvercommit) {
-  Hypervisor hv = make_hypervisor();
-  VmConfig config;
-  config.vcpus = 16;
-  VmHandle vm = hv.create_vm(config).value();
-  Variant v = make_variant("cpu", TargetKind::kCpu, 100.0, 1000.0);
-  auto single = hv.execute(vm, v, 0.0);
-  ASSERT_TRUE(single.ok());
-  EXPECT_NEAR(single->breakdown.compute_us, 100.0, 1.0);
-  // Add a second VM: pressure 2.0 stretches compute.
-  config.name = "vm1";
-  ASSERT_TRUE(hv.create_vm(config).ok());
-  auto contended = hv.execute(vm, v, 0.0);
-  ASSERT_TRUE(contended.ok());
-  EXPECT_NEAR(contended->breakdown.compute_us, 200.0, 1.0);
-}
-
-TEST(Hypervisor, VfpgaAccessControlAndQueueing) {
-  Hypervisor hv = make_hypervisor();
-  VmConfig no_fpga;
-  no_fpga.name = "plain";
-  VmHandle plain = hv.create_vm(no_fpga).value();
-  Variant v = make_variant("fpga", TargetKind::kFpga, 50.0, 500.0);
-  EXPECT_EQ(hv.execute(plain, v, 0.0).status().code(),
-            StatusCode::kPermissionDenied);
-
-  VmConfig with_fpga;
-  with_fpga.name = "accel";
-  with_fpga.vfpga_access = true;
-  VmHandle accel = hv.create_vm(with_fpga).value();
-  auto first = hv.execute(accel, v, 0.0);
-  ASSERT_TRUE(first.ok()) << first.status().to_string();
-  EXPECT_GT(first->remoting_us, 0.0);
-  EXPECT_DOUBLE_EQ(first->breakdown.queue_us, 0.0);
-  // Second call at t=0 queues behind the first.
-  auto second = hv.execute(accel, v, 0.0);
-  ASSERT_TRUE(second.ok());
-  EXPECT_GT(second->breakdown.queue_us, 0.0);
-  EXPECT_GT(hv.queue_wait_us("P9-VU9P", 0.0), 0.0);
-  // Far in the future the slot is free again.
-  EXPECT_DOUBLE_EQ(hv.queue_wait_us("P9-VU9P", 1e9), 0.0);
-}
-
-TEST(Hypervisor, InvalidHandleRejected) {
-  Hypervisor hv = make_hypervisor();
-  Variant v = make_variant("cpu", TargetKind::kCpu, 10.0, 10.0);
-  EXPECT_EQ(hv.execute(VmHandle{}, v, 0.0).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-// -------------------------------------------------------- AdaptationLoop --
-
-AdaptationLoop make_loop(KnowledgeBase* kb) {
-  auto spec = platform::PlatformSpec::everest_reference(1, 0, 0);
-  Hypervisor hv(*spec.find("p9-0"), spec);
-  VmConfig config;
-  config.name = "app";
-  config.vcpus = 8;
-  config.vfpga_access = true;
-  VmHandle vm = hv.create_vm(config).value();
-  return AdaptationLoop(kb, std::move(hv), vm);
-}
-
-TEST(AdaptationLoop, RunsInvocationsAndAdvancesTime) {
-  KnowledgeBase kb;
-  ASSERT_TRUE(kb.load(standard_variants()).ok());
-  AdaptationLoop loop = make_loop(&kb);
-  auto r1 = loop.invoke("k", Goal{});
-  ASSERT_TRUE(r1.ok()) << r1.status().to_string();
-  EXPECT_GT(r1->latency_us, 0.0);
-  EXPECT_GT(loop.now_us(), 0.0);
-  EXPECT_GT(kb.observation_count("k", r1->variant_id), 0);
-}
-
-TEST(AdaptationLoop, AutoProtectionEscalatesUnderAttack) {
-  KnowledgeBase kb;
-  ASSERT_TRUE(kb.load(standard_variants()).ok());
-  AdaptationLoop loop = make_loop(&kb);
-  // Warm up the detector with normal traffic.
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(loop.invoke("k", Goal{}).ok());
-  }
-  EXPECT_EQ(loop.protection("k"), security::ProtectionLevel::kNormal);
-  // Inject a sustained timing anomaly (e.g. a co-located side channel).
-  InvocationContext attack;
-  attack.injected_latency_us = 1e6;
-  int escalations = 0;
-  for (int i = 0; i < 12; ++i) {
-    auto r = loop.invoke("k", Goal{}, attack);
-    if (!r.ok()) break;  // quarantined
-    escalations += r->anomaly_flagged;
-  }
-  EXPECT_GT(escalations, 3);
-  EXPECT_GE(static_cast<int>(loop.protection("k")),
-            static_cast<int>(security::ProtectionLevel::kMonitor));
-}
-
-TEST(AdaptationLoop, FpgaFaultsTripBreakerAndFallBackToCpu) {
-  KnowledgeBase kb;
-  // One FPGA variant (preferred on latency) and one CPU fallback.
-  ASSERT_TRUE(kb.load({make_variant("cpu-fast", TargetKind::kCpu, 100.0, 9000.0),
-                       make_variant("fpga-fast", TargetKind::kFpga, 40.0,
-                                    1500.0)})
-                  .ok());
-  AdaptationLoop loop = make_loop(&kb);
-  resilience::BreakerPolicy policy;
-  policy.failure_threshold = 3;
-  policy.open_cooldown_us = 1e12;  // stays open for the whole test
-  resilience::CircuitBreakerBoard board(policy);
-  resilience::RetryPolicy retry;
-  retry.max_attempts = 8;
-  retry.base_delay_us = 10.0;
-  loop.set_resilience(&board, retry);
-
-  Goal goal;
-  goal.objective = Goal::Objective::kMinLatency;
-  InvocationContext chaos;
-  chaos.fault_probability = 1.0;  // every FPGA offload fails
-  auto r = loop.invoke("k", goal, chaos);
-  ASSERT_TRUE(r.ok()) << r.status().to_string();
-  // Three failures open the FPGA breaker; the fourth attempt re-selects
-  // and lands on the CPU, which succeeds.
-  EXPECT_EQ(r->attempts, 4);
-  EXPECT_EQ(r->variant_id, "cpu-fast");
-  EXPECT_TRUE(r->degraded);
-  EXPECT_EQ(board.state("k", "fpga-fast"),
-            resilience::BreakerState::kOpen);
-  EXPECT_EQ(board.total_trips(), 1);
-
-  // While the breaker stays open, later invocations skip the FPGA
-  // outright: one attempt, still flagged degraded.
-  auto r2 = loop.invoke("k", goal, chaos);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->attempts, 1);
-  EXPECT_EQ(r2->variant_id, "cpu-fast");
-  EXPECT_TRUE(r2->degraded);
-}
-
-TEST(AdaptationLoop, NoRetryBudgetSurfacesUnavailable) {
-  KnowledgeBase kb;
-  ASSERT_TRUE(
-      kb.load({make_variant("fpga-fast", TargetKind::kFpga, 40.0, 1500.0)})
-          .ok());
-  AdaptationLoop loop = make_loop(&kb);
-  resilience::CircuitBreakerBoard board;
-  resilience::RetryPolicy no_retry;
-  no_retry.max_attempts = 1;
-  loop.set_resilience(&board, no_retry);
-  InvocationContext chaos;
-  chaos.fault_probability = 1.0;
-  auto r = loop.invoke("k", Goal{}, chaos);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
-}
-
-TEST(AdaptationLoop, ProtectModeSwitchesToSecuredVariant) {
-  KnowledgeBase kb;
-  ASSERT_TRUE(kb.load(standard_variants()).ok());
-  AdaptationLoop loop = make_loop(&kb);
-  for (int i = 0; i < 40; ++i) ASSERT_TRUE(loop.invoke("k", Goal{}).ok());
-  InvocationContext attack;
-  attack.injected_latency_us = 1e6;
-  std::string last_variant;
-  for (int i = 0; i < 8; ++i) {
-    auto r = loop.invoke("k", Goal{}, attack);
-    if (!r.ok()) break;
-    last_variant = r->variant_id;
-    if (loop.protection("k") == security::ProtectionLevel::kProtect) break;
-  }
-  if (loop.protection("k") == security::ProtectionLevel::kProtect) {
-    auto r = loop.invoke("k", Goal{}, attack);
-    if (r.ok()) {
-      EXPECT_TRUE(r->variant_id == "fpga-dift" || r->variant_id == "fpga-enc")
-          << r->variant_id;
-    }
-  }
 }
 
 // ------------------------------------------------- hot swap (JIT loop) --

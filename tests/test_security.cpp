@@ -1,6 +1,5 @@
 // Tests for the security library: AES-128 (FIPS-197 + NIST CTR/GCM
-// vectors), SHA-256 / HMAC (NIST + RFC vectors), taint tracking, and
-// anomaly detection with auto-protection.
+// vectors), SHA-256 (NIST vectors), taint tracking, and anomaly detection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -168,25 +167,6 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   EXPECT_EQ(to_hex(h.finalize()), to_hex(sha256(text)));
 }
 
-TEST(Sha256, HmacRfc4231Case1) {
-  std::vector<std::uint8_t> key(20, 0x0b);
-  const std::string msg = "Hi There";
-  const auto mac = hmac_sha256(
-      key, std::vector<std::uint8_t>(msg.begin(), msg.end()));
-  EXPECT_EQ(to_hex(mac),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-}
-
-TEST(Sha256, HmacRfc4231Case2) {
-  const std::string key = "Jefe";
-  const std::string msg = "what do ya want for nothing?";
-  const auto mac =
-      hmac_sha256(std::vector<std::uint8_t>(key.begin(), key.end()),
-                  std::vector<std::uint8_t>(msg.begin(), msg.end()));
-  EXPECT_EQ(to_hex(mac),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-}
-
 // ----------------------------------------------------------------- Taint --
 
 TEST(Taint, LabelsJoinThroughTasks) {
@@ -294,34 +274,6 @@ TEST(Anomaly, BaselineNotPoisonedByAnomalies) {
     EXPECT_TRUE(detector.observe(attack).anomalous);
   }
   EXPECT_EQ(detector.samples_seen(), seen);  // anomalies not absorbed
-}
-
-TEST(AutoProtection, EscalatesAndCalmsWithHysteresis) {
-  AutoProtectionPolicy::Options opts;
-  opts.escalate_after = 3;
-  opts.calm_after = 5;
-  AutoProtectionPolicy policy(opts);
-  AnomalyDetector::Verdict bad{true, 10.0, "latency"};
-  AnomalyDetector::Verdict good{false, 0.0, ""};
-  EXPECT_EQ(policy.update(bad), ProtectionLevel::kNormal);
-  EXPECT_EQ(policy.update(bad), ProtectionLevel::kNormal);
-  EXPECT_EQ(policy.update(bad), ProtectionLevel::kMonitor);
-  for (int i = 0; i < 3; ++i) policy.update(bad);
-  EXPECT_EQ(policy.level(), ProtectionLevel::kProtect);
-  for (int i = 0; i < 3; ++i) policy.update(bad);
-  EXPECT_EQ(policy.level(), ProtectionLevel::kQuarantine);
-  // Stays at quarantine under further anomalies.
-  policy.update(bad);
-  EXPECT_EQ(policy.level(), ProtectionLevel::kQuarantine);
-  // Calms down one level per clean streak.
-  for (int i = 0; i < 5; ++i) policy.update(good);
-  EXPECT_EQ(policy.level(), ProtectionLevel::kProtect);
-  for (int i = 0; i < 10; ++i) policy.update(good);
-  EXPECT_EQ(policy.level(), ProtectionLevel::kNormal);
-  // A single anomaly resets the clean streak but not the level.
-  for (int i = 0; i < 4; ++i) policy.update(good);
-  policy.update(bad);
-  EXPECT_EQ(policy.level(), ProtectionLevel::kNormal);
 }
 
 /// Property: GCM round-trips for random sizes (including non-multiples of

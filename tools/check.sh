@@ -17,9 +17,11 @@
 #      injection exercises every short-write/EIO/ENOSPC cleanup path,
 #      and ASan proves none of them leaks or double-frees; plus serve and
 #      cluster, whose servers start and join their own worker threads
-#      and own each batch's lifetime across them; plus common, whose JSON
-#      parser must reject malformed and over-nested input without a
-#      crash.
+#      and own each batch's lifetime across them; plus common and
+#      ir_roundtrip, whose JSON and IR parsers must reject malformed and
+#      over-nested input without a crash; plus compiler and interpreter,
+#      whose constant folding and reference semantics evaluate arbitrary
+#      scalar operands (`mod` by a fractional divisor, INT64_MIN % -1).
 # Every build compiles with -Werror (set through CMAKE_CXX_FLAGS, so the
 # project itself gains no option). Any failure aborts the script with a
 # non-zero exit.
@@ -77,13 +79,14 @@ cmake --build "$ROOT/build-tsan" -j "$JOBS" \
   -R 'test_serve|test_obs|test_data|test_cluster|test_storage|test_stream|test_jit|test_runtime')
 
 echo
-echo "=== [5/5] ASan: storage + data + serve + cluster + common tests ==="
+echo "=== [5/5] ASan: storage + data + serve + cluster + common + compiler + interpreter + ir_roundtrip tests ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DEVEREST_SANITIZE=address \
   -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
-  --target test_storage test_data test_serve test_cluster test_common
+  --target test_storage test_data test_serve test_cluster test_common \
+  test_compiler test_interpreter test_ir_roundtrip
 (cd "$ROOT/build-asan" && ctest --output-on-failure -j "$JOBS" \
-  -R 'test_storage|test_data|test_serve|test_cluster|test_common')
+  -R 'test_storage|test_data|test_serve|test_cluster|test_common|test_compiler|test_interpreter|test_ir_roundtrip')
 
 echo
 echo "check.sh: all gates passed."
