@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
       "--- keyed locality at replication 2 (3 nodes, 48 objects x 64 KiB, "
       "1.25 MiB/node cache) ---\n");
   Table s2({"routing", "data-local", "cache hit rate", "forwarded",
-            "hop mean us", "p99 ms", "completed"});
+            "hop mean us (modelled)", "p99 ms", "completed"});
   double local_fraction_on = 0.0;
   double hit_on = 0.0;
   double hit_off = 0.0;

@@ -365,8 +365,7 @@ void BM_RouterKeyedRoute(benchmark::State& state) {
 BENCHMARK(BM_RouterKeyedRoute);
 
 // Catalog-log append is on the data plane's mutation path (every put/
-// place/demote) and, via on_input_staged, on the serve workers' cold
-// staging path: encode + CRC + buffered fwrite under one mutex. Arg is
+// place/demote): encode + CRC + buffered fwrite under one mutex. Arg is
 // sync_every — 1 pays an fsync per append, 64 amortizes (group commit).
 void BM_CatalogLogAppend(benchmark::State& state) {
   const std::string dir =

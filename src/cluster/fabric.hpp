@@ -1,34 +1,22 @@
-// Inter-node interconnect model for the federation: one fair-share
-// platform::LinkChannel per directed node pair, each inside its own
-// discrete-event Simulator whose clock is anchored to the wall. A hop is
-// issued at the wall instant it happens; if earlier hops on the same
-// link pushed that link's simulation clock ahead of the wall, the new
-// hop inherits the difference as queueing delay before its own transfer
-// time — an M/G/1-style FIFO link under load, exact LinkModel cost when
-// idle. The LinkChannels keep the real cost books (bytes moved,
-// transfers, flow-time integral) that the federation exports.
+// Inter-node interconnect model for the federation: one FIFO clock per
+// directed node pair. A hop issued at wall instant `now` starts once the
+// link has finished every transfer already booked on it, at
+// max(now, busy_until), and then holds the link for
+// LinkModel::transfer_us(bytes). Its cost is that wait plus the transfer:
+// exactly transfer_us on an idle link, queueing behind the booked backlog
+// in a burst. The cost is a model output; nothing moves and nothing
+// sleeps.
 //
 // Per-link locking: hops on distinct node pairs never contend.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
-#include "platform/desim.hpp"
 #include "platform/links.hpp"
 
 namespace everest::cluster {
-
-struct FabricStats {
-  double bytes_moved = 0.0;
-  std::uint64_t transfers = 0;
-  /// Sum over links of the time-integral of in-flight payloads (µs) — a
-  /// fabric-wide congestion measure.
-  double busy_flow_us = 0.0;
-};
 
 class ForwardFabric {
  public:
@@ -37,30 +25,22 @@ class ForwardFabric {
   /// Models moving `bytes` from `src` to `dst` right now; returns the
   /// hop's total cost (µs) = queueing behind transfers already booked on
   /// that link + the transfer itself. Does not sleep — callers charge
-  /// the cost where it belongs (the forwarded request's latency).
+  /// the cost where it belongs (the forwarded request's latency). A hop
+  /// from a node to itself costs 0.
   double hop_us(std::size_t src, std::size_t dst, double bytes);
 
-  [[nodiscard]] FabricStats stats() const;
-  [[nodiscard]] const platform::LinkModel& model() const { return model_; }
-  [[nodiscard]] std::size_t num_nodes() const { return n_; }
-
  private:
-  /// One directed link: its own simulator so backlog on (a, b) never
-  /// couples to (c, d).
+  /// One directed link: backlog on (a, b) never couples to (c, d).
   struct Link {
     std::mutex mu;
-    platform::Simulator sim;
-    std::unique_ptr<platform::LinkChannel> channel;
+    /// Wall µs (fabric epoch) at which the last booked transfer ends.
+    double busy_until_us = 0.0;
   };
-
-  Link& link(std::size_t src, std::size_t dst) {
-    return *links_[src * n_ + dst];
-  }
 
   std::size_t n_;
   platform::LinkModel model_;
   std::chrono::steady_clock::time_point epoch_;
-  std::vector<std::unique_ptr<Link>> links_;
+  std::vector<Link> links_;  ///< src * n_ + dst; the diagonal stays unused
 };
 
 }  // namespace everest::cluster

@@ -7,6 +7,12 @@
 
 namespace everest::cluster {
 
+namespace {
+/// Bytes of a forwarded request envelope and of its reply.
+constexpr double kForwardBytes = 2048.0;
+constexpr double kReplyBytes = 512.0;
+}  // namespace
+
 Federation::Federation(FederationOptions options)
     : options_(std::move(options)),
       epoch_(std::chrono::steady_clock::now()) {
@@ -21,43 +27,16 @@ Federation::Federation(FederationOptions options)
       std::make_unique<Membership>(std::move(names), options_.membership);
   shard_map_ =
       std::make_unique<ShardMap>(options_.num_nodes, options_.shard_map);
-  fabric_ =
-      std::make_unique<ForwardFabric>(options_.num_nodes, options_.interconnect);
-  home_table_ = shard_map_->table();  // version 0: all nodes healthy
+  fabric_ = std::make_unique<ForwardFabric>(
+      options_.num_nodes, platform::LinkModel::tcp_datacenter());
 
   knowledge_.reserve(options_.num_nodes);
   servers_.reserve(options_.num_nodes);
   crashed_.reserve(options_.num_nodes);
   for (std::size_t i = 0; i < options_.num_nodes; ++i) {
     knowledge_.push_back(std::make_unique<runtime::KnowledgeBase>());
-    serve::ServerOptions node_opts = options_.node;
-    if (!options_.storage_dir.empty()) {
-      // One WAL per node: every cold input staging is appended (as a
-      // kPlace record — "this key's bytes now live in node i's RAM"), so
-      // a restart can replay the node back to a warm cache instead of
-      // re-paying every input transfer.
-      wals_.push_back(std::make_unique<storage::CatalogLog>(
-          options_.storage_dir + "/node" + std::to_string(i),
-          storage::LogConfig{}, &registry_));
-      storage::CatalogLog* wal = wals_.back().get();
-      node_opts.on_input_staged = [this, wal](const data::ShardKey& key,
-                                              double bytes, double) {
-        // Stamp the record with the key's *home* primary under the
-        // all-healthy table, not the node it landed on: while a node is
-        // down its keyed traffic fails over and stages elsewhere, and
-        // on restart() the owner finds those keys in the survivors'
-        // logs by this stamp (hinted handoff).
-        const std::uint32_t shard = ShardMap::shard_of_object(
-            key.object, options_.shard_map.num_shards,
-            options_.shard_map.salt);
-        const auto& owners = home_table_->replicas[shard];
-        const std::uint64_t home = owners.empty() ? 0 : owners.front();
-        (void)wal->append({storage::LogRecordType::kPlace, 0, key.object,
-                           key.shard, key.version, home, bytes});
-      };
-    }
     servers_.push_back(
-        std::make_unique<serve::Server>(node_opts, knowledge_[i].get()));
+        std::make_unique<serve::Server>(options_.node, knowledge_[i].get()));
     crashed_.push_back(std::make_unique<std::atomic<bool>>(false));
   }
 
@@ -80,9 +59,6 @@ Federation::Federation(FederationOptions options)
   failovers_ = registry_.counter("cluster.failovers");
   rejoins_ = registry_.counter("cluster.rejoins");
   rebuilds_ = registry_.counter("cluster.rebuilds");
-  warm_restored_ = registry_.counter("cluster.warm_restored_entries");
-  hinted_handoff_ = registry_.counter("cluster.hinted_handoff_entries");
-  warm_restore_us_ = registry_.histogram("cluster.warm_restore_us");
   // shards_moved_last / shard_imbalance are node-local instantaneous
   // readings with no meaningful cross-node aggregate — they stay
   // kLastWrite, which RegistrySnapshot::merge deliberately drops.
@@ -221,7 +197,7 @@ Status Federation::submit(serve::Request request,
     double forward_us = 0.0;
     if (target != ingress) {
       forwarded_->inc();
-      forward_us = fabric_->hop_us(ingress, target, options_.forward_bytes);
+      forward_us = fabric_->hop_us(ingress, target, kForwardBytes);
       hop_us_->record(forward_us);
       if (tracing) {
         const double t0 = tracer->wall_now_us();
@@ -232,7 +208,7 @@ Status Federation::submit(serve::Request request,
                       {"dst", membership_->name(target)},
                       {"kind", std::string(to_string(decision.kind))},
                       {"bytes", std::to_string(
-                           static_cast<long>(options_.forward_bytes))}});
+                           static_cast<long>(kForwardBytes))}});
       }
     } else {
       ingress_local_->inc();
@@ -246,7 +222,7 @@ Status Federation::submit(serve::Request request,
             trace_id, root_span, t_root0, tracer,
             tracing](const serve::Response& response) {
         const double reply_us =
-            fabric_->hop_us(target, ingress, options_.reply_bytes);
+            fabric_->hop_us(target, ingress, kReplyBytes);
         hop_us_->record(reply_us);
         if (tracing) {
           const double t0 = tracer->wall_now_us();
@@ -262,13 +238,9 @@ Status Federation::submit(serve::Request request,
                        {{"ingress", membership_->name(ingress)},
                         {"target", membership_->name(target)}});
         }
-        if (options_.charge_hops_in_latency) {
-          serve::Response adjusted = response;
-          adjusted.latency_us += forward_us + reply_us;
-          done(adjusted);
-        } else {
-          done(response);
-        }
+        serve::Response adjusted = response;
+        adjusted.latency_us += forward_us + reply_us;
+        done(adjusted);
       };
     } else if (tracing) {
       // Local requests get the same root so every ingress request is
@@ -323,22 +295,11 @@ void Federation::stop() {
 void Federation::crash(std::size_t node) {
   if (node >= options_.num_nodes) return;
   crashed_[node]->store(true, std::memory_order_release);
-  // Process death loses RAM: the staged-input cache dies with it. The
-  // node's WAL (when configured) survives on disk — that is what
-  // restart() replays. Without cold_restart_cache the crash stays a
-  // NIC-level fail-stop and RAM survives (the pre-storage model).
-  if (options_.cold_restart_cache) servers_[node]->clear_input_cache();
   if (options_.tracer != nullptr && options_.tracer->enabled()) {
     options_.tracer->instant(obs::TimeDomain::kWall, 0,
                              options_.tracer->wall_now_us(), obs::kAutoTrack,
                              "crash", "cluster",
                              {{"node", membership_->name(node)}});
-  }
-  if (options_.flight_recorder != nullptr) {
-    // Black-box dump: capture the spans and rollups leading up to the
-    // injected fault (debounced inside the recorder).
-    (void)options_.flight_recorder->trigger(
-        "fault.crash", {{"node", membership_->name(node)}});
   }
   EVEREST_LOG(kWarn, "cluster")
       << membership_->name(node) << " crashed (fail-stop at the network)";
@@ -346,48 +307,6 @@ void Federation::crash(std::size_t node) {
 
 void Federation::restart(std::size_t node) {
   if (node >= options_.num_nodes) return;
-  if (options_.cold_restart_cache && node < wals_.size()) {
-    // Warm restart: replay the node's staging log in append order — the
-    // cache's own capacity bound keeps the most recently staged keys, so
-    // the node rejoins roughly as warm as it died.
-    const auto t0 = std::chrono::steady_clock::now();
-    wals_[node]->sync();
-    std::uint64_t restored = 0;
-    storage::CatalogLog::replay_records(
-        wals_[node]->dir(), [&](const storage::LogRecord& rec) {
-          if (rec.type != storage::LogRecordType::kPlace) return;
-          servers_[node]->warm_input(rec.key(), rec.bytes);
-          ++restored;
-        });
-    // Hinted handoff: while this node was down, its keyed traffic
-    // failed over and staged inputs on the surviving replicas — each
-    // stamped with this node as home. Pull those entries back so the
-    // node rejoins warm for keys it never saw itself.
-    std::uint64_t handed = 0;
-    for (std::size_t peer = 0; peer < wals_.size(); ++peer) {
-      if (peer == node) continue;
-      wals_[peer]->sync();
-      storage::CatalogLog::replay_records(
-          wals_[peer]->dir(), [&](const storage::LogRecord& rec) {
-            if (rec.type != storage::LogRecordType::kPlace) return;
-            if (rec.node != node) return;
-            servers_[node]->warm_input(rec.key(), rec.bytes);
-            ++handed;
-          });
-    }
-    const double wall_us =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count() /
-        1e3;
-    warm_restored_->inc(restored);
-    hinted_handoff_->inc(handed);
-    warm_restore_us_->record(wall_us);
-    EVEREST_LOG(kInfo, "cluster")
-        << membership_->name(node) << " warm restart: " << restored
-        << " cache entries replayed, " << handed
-        << " handed off from peers, in " << wall_us << " us";
-  }
   crashed_[node]->store(false, std::memory_order_release);
   servers_[node]->resume_admission();
   EVEREST_LOG(kInfo, "cluster") << membership_->name(node) << " restarting";
@@ -459,8 +378,6 @@ FederationStats Federation::stats() const {
   out.failovers = failovers_->value();
   out.rejoins = rejoins_->value();
   out.rebuilds = rebuilds_->value();
-  out.warm_restored_entries = warm_restored_->value();
-  out.hinted_handoff_entries = hinted_handoff_->value();
   out.shards_moved_last = shards_moved_->value();
   out.shard_imbalance = imbalance_->value();
   out.last_detection_us = last_detection_->value();

@@ -10,8 +10,9 @@
 //   * data       — the ShardMap reuses the data plane's weighted
 //     rendezvous placement, so keyed requests land on the node whose
 //     input cache is warm for their key (locality first);
-//   * platform   — cross-node forwarding is paid through per-link
-//     LinkChannel hops with real byte/flow accounting, not a constant;
+//   * platform   — cross-node forwarding pays a modelled per-link FIFO
+//     hop (ForwardFabric over the TCP datacenter LinkModel), not a
+//     constant;
 //   * serve      — each node is a full Server (admission control,
 //     batching, autotuned variant selection, graceful drain); keyless
 //     traffic is spread by power-of-two-choices on live queue depth;
@@ -21,11 +22,13 @@
 // Fail-stop is modeled at the network boundary: crash(i) makes node i
 // unreachable (submits refused, heartbeats stop) while requests already
 // inside it run to completion — the in-process analogue of a process
-// whose NIC died. Clients hitting a crashed node are transparently
-// re-routed to the next replica (connection-refused retry), so keyed
-// availability holds even before detection; detection then rebuilds the
-// shard map (failover), and a rejoin rebuilds it again (rebalance) while
-// in-flight work on the temporary owners drains naturally.
+// whose NIC died; its RAM, input cache included, survives. Clients
+// hitting a crashed node are transparently re-routed to the next replica
+// (connection-refused retry), so keyed availability holds even before
+// detection; detection then rebuilds the shard map (failover), and a
+// rejoin rebuilds it again (rebalance) while in-flight work on the
+// temporary owners drains naturally. Restart-to-warm after a process
+// death is the data plane's job (data::DataPlane::recover()).
 #pragma once
 
 #include <atomic>
@@ -38,13 +41,11 @@
 #include "cluster/membership.hpp"
 #include "cluster/router.hpp"
 #include "cluster/shard_map.hpp"
-#include "obs/flight.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "runtime/knowledge.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
-#include "storage/log.hpp"
 
 namespace everest::cluster {
 
@@ -55,14 +56,6 @@ struct FederationOptions {
   serve::ServerOptions node;
   ShardMapConfig shard_map;
   MembershipConfig membership;
-  /// Inter-node transport for forwarded requests and replies.
-  platform::LinkModel interconnect = platform::LinkModel::tcp_datacenter();
-  /// Bytes of a forwarded request envelope and of its reply.
-  double forward_bytes = 2048.0;
-  double reply_bytes = 512.0;
-  /// Add the modeled hop costs to Response::latency_us (what a client
-  /// behind the ingress node would observe).
-  bool charge_hops_in_latency = true;
   /// false = ignore data_key and balance everything by queue depth (the
   /// locality ablation the E21 bench runs).
   bool locality_routing = true;
@@ -70,17 +63,6 @@ struct FederationOptions {
   double pump_period_us = 2'000.0;
   /// Root of ingress choice and keyless candidate draws.
   std::uint64_t seed = 42;
-  /// Durable root for per-node input-staging catalogs ("<dir>/node<i>"
-  /// each holds a storage::CatalogLog). Empty = no logging: a restarted
-  /// node comes back cold and re-pays every input transfer.
-  std::string storage_dir;
-  /// Model process death on crash(): the node's input cache is cleared
-  /// (RAM dies with the process). With a storage_dir, restart() then
-  /// replays the node's log to warm the cache back — the E22
-  /// restart-to-warm path; without one, the node truly restarts cold.
-  /// false keeps the pre-storage fail-stop-at-the-NIC semantics (RAM
-  /// survives, nothing to restore).
-  bool cold_restart_cache = false;
   /// Optional federation-level tracer (per-hop spans, failover/rebalance
   /// instants). The per-node template's tracer traces inside each node.
   /// When both point at the SAME tracer, every ingress request becomes
@@ -89,10 +71,6 @@ struct FederationOptions {
   /// spans, and the reply hop all parented under it (TraceContext
   /// propagation through serve::Request::trace).
   obs::Tracer* tracer = nullptr;
-  /// Optional flight recorder (borrowed): crash() triggers a
-  /// "fault.crash" bundle capturing the spans and rollups leading up to
-  /// the injected fault.
-  obs::FlightRecorder* flight_recorder = nullptr;
 };
 
 /// Aggregated federation counters (snapshot of the registry).
@@ -110,10 +88,6 @@ struct FederationStats {
   std::uint64_t unroutable = 0;       ///< no reachable node at all
   std::uint64_t failovers = 0;        ///< dead transitions handled
   std::uint64_t rejoins = 0;
-  std::uint64_t warm_restored_entries = 0;  ///< cache entries replayed back
-  /// Entries warmed from *other* nodes' staging logs on restart: traffic
-  /// homed on this node that was staged elsewhere while it was down.
-  std::uint64_t hinted_handoff_entries = 0;
   std::uint64_t rebuilds = 0;         ///< shard-map rebuilds
   double shards_moved_last = 0.0;     ///< assignment churn of last rebuild
   double shard_imbalance = 0.0;       ///< primary max/mean of live table
@@ -148,8 +122,8 @@ class Federation {
 
   /// Routes and submits one request: locality first for keyed traffic,
   /// power-of-two-choices for keyless, connection-refused retry around
-  /// crashed nodes, LinkChannel-modeled forward/reply hops charged to
-  /// the response latency. Callback contract matches serve::Server.
+  /// crashed nodes, modelled forward/reply hops (ForwardFabric) added to
+  /// Response::latency_us. Callback contract matches serve::Server.
   Status submit(serve::Request request, serve::ResponseCallback on_done);
 
   /// Waits until every node delivered every admitted response.
@@ -161,10 +135,11 @@ class Federation {
 
   // ---- fault injection (the E21 failover experiments) ----
   /// Fail-stop node `i` at the network boundary: heartbeats cease and
-  /// submits are refused; requests already inside finish.
+  /// submits are refused; requests already inside finish, and the node's
+  /// state (input cache included) survives.
   void crash(std::size_t node);
-  /// Brings a crashed node back; the next pump heartbeat revives it and
-  /// triggers the rejoin rebalance.
+  /// Reconnects a crashed node as it was: admission reopens, and the next
+  /// pump heartbeat revives it and triggers the rejoin rebalance.
   void restart(std::size_t node);
   [[nodiscard]] bool crashed(std::size_t node) const {
     return crashed_[node]->load(std::memory_order_acquire);
@@ -179,7 +154,6 @@ class Federation {
   [[nodiscard]] std::size_t num_nodes() const { return options_.num_nodes; }
   [[nodiscard]] FederationStats stats() const;
   [[nodiscard]] const obs::Registry& registry() const { return registry_; }
-  [[nodiscard]] const ForwardFabric& fabric() const { return *fabric_; }
   /// Silence → declared-dead bound plus one pump period.
   [[nodiscard]] double detection_interval_us() const {
     return membership_->detection_interval_us() + options_.pump_period_us;
@@ -204,19 +178,10 @@ class Federation {
   std::unique_ptr<ShardMap> shard_map_;
   std::unique_ptr<ClusterRouter> router_;
   std::unique_ptr<ForwardFabric> fabric_;
-  /// The all-healthy version-0 table: each staged input's WAL record is
-  /// stamped with its *home* primary under this table (not the node it
-  /// happened to land on), so a restarting node can pull its own keys
-  /// out of the survivors' logs — hinted handoff.
-  std::shared_ptr<const ShardTable> home_table_;
 
   /// Per-node stacks: each node owns its knowledge base + server.
   std::vector<std::unique_ptr<runtime::KnowledgeBase>> knowledge_;
   std::vector<std::unique_ptr<serve::Server>> servers_;
-  /// Per-node input-staging WALs (empty unless storage_dir is set).
-  /// Appended from worker threads via ServerOptions::on_input_staged
-  /// (CatalogLog::append is thread-safe).
-  std::vector<std::unique_ptr<storage::CatalogLog>> wals_;
   /// Heap-allocated so the vector never relocates a live atomic.
   std::vector<std::unique_ptr<std::atomic<bool>>> crashed_;
 
@@ -237,9 +202,6 @@ class Federation {
   obs::Counter* failovers_;
   obs::Counter* rejoins_;
   obs::Counter* rebuilds_;
-  obs::Counter* warm_restored_;
-  obs::Counter* hinted_handoff_;
-  obs::Histogram* warm_restore_us_;
   obs::Gauge* shards_moved_;
   obs::Gauge* imbalance_;
   obs::Gauge* last_detection_;

@@ -100,15 +100,8 @@ std::uint32_t ShardMap::shard_of(std::string_view key) const {
 std::uint32_t ShardMap::shard_of(std::string_view key,
                                  std::uint32_t num_shards,
                                  std::uint64_t salt) {
-  return shard_of_object(data::object_id_from_name(std::string(key)),
-                         num_shards, salt);
-}
-
-std::uint32_t ShardMap::shard_of_object(data::ObjectId id,
-                                        std::uint32_t num_shards,
-                                        std::uint64_t salt) {
   if (num_shards == 0) return 0;
-  const data::ShardKey k{id, 0, 0};
+  const data::ShardKey k{data::object_id_from_name(std::string(key)), 0, 0};
   return static_cast<std::uint32_t>(data::hash_key(k, salt) % num_shards);
 }
 

@@ -72,12 +72,6 @@ class ShardMap {
   [[nodiscard]] std::uint32_t shard_of(std::string_view key) const;
   static std::uint32_t shard_of(std::string_view key,
                                 std::uint32_t num_shards, std::uint64_t salt);
-  /// Same mapping for an already-hashed object id (what the staging
-  /// callbacks carry) — `shard_of(name)` == `shard_of_object(
-  /// object_id_from_name(name))` by construction.
-  static std::uint32_t shard_of_object(data::ObjectId id,
-                                       std::uint32_t num_shards,
-                                       std::uint64_t salt);
 
   [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }
   [[nodiscard]] const ShardMapConfig& config() const { return config_; }

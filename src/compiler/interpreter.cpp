@@ -354,33 +354,17 @@ class KernelInterpreter {
     if (name == "kernel.load") {
       auto buf = buffers_.find(key_of(op.operand(0)));
       if (buf == buffers_.end()) return Internal("load from unbound buffer");
-      std::int64_t flat = 0;
-      const auto& shape = buf->second->shape;
-      for (std::size_t d = 0; d < shape.size(); ++d) {
-        flat = flat * shape[d] +
-               static_cast<std::int64_t>(scalar(op.operand(d + 1)));
-      }
-      if (flat < 0 || flat >= buf->second->num_elements()) {
-        return OutOfRange("load index " + std::to_string(flat) +
-                          " outside buffer");
-      }
-      scalars_[{&op, 0}] = buf->second->data[static_cast<std::size_t>(flat)];
+      EVEREST_ASSIGN_OR_RETURN(const std::size_t flat,
+                               flat_index(op, 1, *buf->second, "load"));
+      scalars_[{&op, 0}] = buf->second->data[flat];
       return OkStatus();
     }
     if (name == "kernel.store") {
       auto buf = buffers_.find(key_of(op.operand(1)));
       if (buf == buffers_.end()) return Internal("store to unbound buffer");
-      std::int64_t flat = 0;
-      const auto& shape = buf->second->shape;
-      for (std::size_t d = 0; d < shape.size(); ++d) {
-        flat = flat * shape[d] +
-               static_cast<std::int64_t>(scalar(op.operand(d + 2)));
-      }
-      if (flat < 0 || flat >= buf->second->num_elements()) {
-        return OutOfRange("store index " + std::to_string(flat) +
-                          " outside buffer");
-      }
-      buf->second->data[static_cast<std::size_t>(flat)] = scalar(op.operand(0));
+      EVEREST_ASSIGN_OR_RETURN(const std::size_t flat,
+                               flat_index(op, 2, *buf->second, "store"));
+      buf->second->data[flat] = scalar(op.operand(0));
       return OkStatus();
     }
     if (name == "kernel.binop") {
@@ -398,6 +382,37 @@ class KernelInterpreter {
       return OkStatus();
     }
     return Unimplemented("kernel interpreter: unsupported op '" + name + "'");
+  }
+
+  /// Row-major element offset of the index operands op.operand(first..)
+  /// into `buf`. Each index is checked against its dimension while still
+  /// a double: a negative, too large or non-finite index is OUT_OF_RANGE
+  /// rather than wrapping into another element or reaching an undefined
+  /// int64 cast. So is an offset past the data a bound tensor carries,
+  /// which need not match its shape.
+  Result<std::size_t> flat_index(const ir::Operation& op, std::size_t first,
+                                 const TensorValue& buf,
+                                 const char* access) const {
+    std::size_t flat = 0;
+    for (std::size_t d = 0; d < buf.shape.size(); ++d) {
+      const double index = scalar(op.operand(first + d));
+      const std::int64_t extent = buf.shape[d];
+      if (!(index >= 0.0 && index < static_cast<double>(extent))) {
+        return OutOfRange(std::string(access) + " index " +
+                          std::to_string(index) + " outside dimension " +
+                          std::to_string(d) + " of extent " +
+                          std::to_string(extent));
+      }
+      flat = flat * static_cast<std::size_t>(extent) +
+             static_cast<std::size_t>(index);
+    }
+    if (flat >= buf.data.size()) {
+      return OutOfRange(std::string(access) + " offset " +
+                        std::to_string(flat) + " past the " +
+                        std::to_string(buf.data.size()) +
+                        " elements the buffer holds");
+    }
+    return flat;
   }
 
   double scalar(const ir::Value& v) const {

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <limits>
 #include <map>
 
 namespace everest::ir {
@@ -25,8 +26,16 @@ struct Token {
   std::string text;
   double number = 0.0;
   bool is_integer = false;
+  /// An integer literal's exact value, and whether it overflowed int64.
+  std::int64_t integer = 0;
+  bool integer_overflow = false;
   std::size_t offset = 0;
 };
+
+bool is_word_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.' ||
+         c == '-';
+}
 
 class Lexer {
  public:
@@ -88,6 +97,7 @@ class Lexer {
       if (pos_ < text_.size()) ++pos_;  // closing quote
       return;
     }
+    if ((c == '-' || c == 'i' || c == 'n') && lex_non_finite()) return;
     if (std::isdigit(static_cast<unsigned char>(c)) || c == '-' || c == '+') {
       lex_number();
       return;
@@ -102,12 +112,30 @@ class Lexer {
 
   std::string lex_word() {
     std::string out;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_' || text_[pos_] == '.' || text_[pos_] == '-')) {
+    while (pos_ < text_.size() && is_word_char(text_[pos_])) {
       out += text_[pos_++];
     }
     return out;
+  }
+
+  /// `inf`, `-inf`, `nan` or `-nan` as a whole word: how the printer
+  /// (printf's %g) spells a non-finite f64. Lexes it as a real number.
+  bool lex_non_finite() {
+    const bool negative = text_[pos_] == '-';
+    const std::size_t word = pos_ + (negative ? 1 : 0);
+    const std::string_view name = text_.substr(word, 3);
+    const std::size_t end = word + name.size();
+    if ((name != "inf" && name != "nan") ||
+        (end < text_.size() && is_word_char(text_[end]))) {
+      return false;
+    }
+    current_.kind = Tok::kNumber;
+    current_.text = std::string(text_.substr(pos_, end - pos_));
+    current_.number = name == "inf" ? std::numeric_limits<double>::infinity()
+                                    : std::numeric_limits<double>::quiet_NaN();
+    if (negative) current_.number = -current_.number;
+    pos_ = end;
+    return true;
   }
 
   void lex_number() {
@@ -132,7 +160,15 @@ class Lexer {
     current_.kind = Tok::kNumber;
     current_.text = std::string(text_.substr(start, pos_ - start));
     current_.is_integer = !has_dot;
-    std::from_chars(text_.data() + start, text_.data() + pos_, current_.number);
+    const char* end = text_.data() + pos_;
+    std::from_chars(text_.data() + start, end, current_.number);
+    if (current_.is_integer) {
+      // Exact, so every int64 survives a round trip; one outside int64 is
+      // flagged for the parser to refuse instead of cast.
+      current_.integer_overflow =
+          std::from_chars(text_.data() + start, end, current_.integer).ec ==
+          std::errc::result_out_of_range;
+    }
   }
 
   void skip_ws() {
@@ -216,7 +252,11 @@ class IrParser {
       while (true) {
         const Token& t = lexer_.peek();
         if (t.kind == Tok::kNumber) {
-          shape.push_back(static_cast<std::int64_t>(lexer_.take().number));
+          const Token dim = lexer_.take();
+          if (!dim.is_integer || dim.integer_overflow) {
+            return error("bad dimension '" + dim.text + "'");
+          }
+          shape.push_back(dim.integer);
         } else if (t.kind == Tok::kIdent) {
           // e.g. "x8xf64" or "xf64" or "f64"
           EVEREST_ASSIGN_OR_RETURN(elem, consume_dims_and_elem(shape));
@@ -260,9 +300,10 @@ class IrParser {
         ++i;
         if (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) {
           std::int64_t dim = 0;
-          while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) {
-            dim = dim * 10 + (text[i++] - '0');
-          }
+          const auto [next, ec] =
+              std::from_chars(text.data() + i, text.data() + text.size(), dim);
+          if (ec != std::errc()) return error("dimension outside int64");
+          i = static_cast<std::size_t>(next - text.data());
           shape.push_back(dim);
           continue;
         }
@@ -289,7 +330,10 @@ class IrParser {
     if (t.kind == Tok::kNumber) {
       Token n = lexer_.take();
       if (n.is_integer) {
-        return Attribute::integer(static_cast<std::int64_t>(n.number));
+        if (n.integer_overflow) {
+          return error("integer " + n.text + " outside int64");
+        }
+        return Attribute::integer(n.integer);
       }
       return Attribute::real(n.number);
     }

@@ -1,5 +1,6 @@
 #include "ir/printer.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <map>
 
@@ -66,7 +67,7 @@ class Printer {
           char buf[40];
           std::snprintf(buf, sizeof buf, "%.17g", vals[i]);
           std::string s(buf);
-          if (s.find('.') == std::string::npos &&
+          if (std::isfinite(vals[i]) && s.find('.') == std::string::npos &&
               s.find('e') == std::string::npos) {
             s += ".0";
           }

@@ -46,7 +46,7 @@ struct FlightRecorderConfig {
 /// One captured incident window.
 struct FlightBundle {
   std::uint64_t seq = 0;       ///< monotone per recorder
-  std::string reason;          ///< "fault.crash", "breaker.open", "slo.page"
+  std::string reason;          ///< e.g. "breaker.open", "slo.page"
   double triggered_at_us = 0;  ///< tracer wall clock
   double window_start_us = 0;  ///< triggered_at - retention (clamped at 0)
   Annotations notes;           ///< trigger-specific context (node, key, ...)

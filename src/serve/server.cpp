@@ -44,22 +44,6 @@ data::CacheStats Server::input_cache_stats() const {
   return input_cache_.stats();
 }
 
-void Server::warm_input(const data::ShardKey& key, double bytes) {
-  const double cost = options_.input_link.transfer_us(bytes);
-  std::lock_guard<std::mutex> lock(input_mu_);
-  (void)input_cache_.insert(key, bytes, cost);
-}
-
-void Server::clear_input_cache() {
-  std::lock_guard<std::mutex> lock(input_mu_);
-  input_cache_.clear();
-}
-
-double Server::input_cache_resident_bytes() const {
-  std::lock_guard<std::mutex> lock(input_mu_);
-  return input_cache_.resident_bytes();
-}
-
 double Server::stage_batch_inputs(const Batch& batch) {
   // Distinct keys only: requests in one batch reading the same object
   // share one staging (the in-batch form of transfer dedup).
@@ -72,9 +56,6 @@ double Server::stage_batch_inputs(const Batch& batch) {
   if (keyed.empty()) return 0.0;
   double stall_us = 0.0;
   std::uint64_t hits = 0, misses = 0;
-  /// Cold stagings to report once the lock is dropped (the observer may
-  /// do I/O — a WAL append — and must not serialize other workers).
-  std::vector<std::pair<data::ShardKey, std::pair<double, double>>> staged;
   {
     std::lock_guard<std::mutex> lock(input_mu_);
     for (const auto& [name, bytes] : keyed) {
@@ -86,14 +67,8 @@ double Server::stage_batch_inputs(const Batch& batch) {
       ++misses;
       const double cost = options_.input_link.transfer_us(bytes);
       stall_us += cost;
-      if (input_cache_.insert(key, bytes, cost).ok() &&
-          options_.on_input_staged) {
-        staged.emplace_back(key, std::make_pair(bytes, cost));
-      }
+      (void)input_cache_.insert(key, bytes, cost);
     }
-  }
-  for (const auto& [key, info] : staged) {
-    options_.on_input_staged(key, info.first, info.second);
   }
   metrics_.record_input_stage(hits, misses, stall_us);
   return stall_us;
@@ -246,7 +221,7 @@ void Server::execute_batch(Batch batch) {
   std::vector<PendingRequest> live;
   live.reserve(batch.requests.size());
   for (PendingRequest& pending : batch.requests) {
-    if (options_.drop_expired && run.dispatch > pending.request.deadline) {
+    if (run.dispatch > pending.request.deadline) {
       const double queued_us =
           us_between(pending.request.enqueue_time, run.dispatch);
       finish(pending, Outcome::kExpired,

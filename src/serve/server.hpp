@@ -46,9 +46,6 @@ struct ServerOptions {
   runtime::Goal goal;
   /// FPGA slots visible to variant selection (0 = software only).
   int fpgas_available = 1;
-  /// Drop requests whose deadline already passed when their batch is
-  /// dispatched (they would deliver a useless late answer).
-  bool drop_expired = true;
 
   // ---- graceful degradation ----
   /// Per-(kernel, variant) circuit breakers: batch failures trip the
@@ -78,12 +75,6 @@ struct ServerOptions {
   /// Scales simulated staging stalls onto the wall clock (1.0 = one
   /// modelled µs is one slept µs; smaller keeps benches fast).
   double input_stage_scale = 1.0;
-  /// Observer of cold input stagings: (key, bytes, refetch cost µs) for
-  /// every miss that was fetched and cached. Fired from worker threads,
-  /// outside the input-cache lock — the cluster federation hangs a
-  /// write-ahead catalog log here so restart() can warm the cache back
-  /// by replay instead of refetching.
-  std::function<void(const data::ShardKey&, double, double)> on_input_staged;
 
   // ---- observability ----
   /// Span sink (borrowed; may be null). When enabled, every admitted
@@ -190,16 +181,6 @@ class Server {
 
   /// Input-cache counters (hits/misses of data_key staging).
   [[nodiscard]] data::CacheStats input_cache_stats() const;
-
-  /// Re-seeds one input-cache entry without a staging stall or miss
-  /// accounting — the warm-restart replay path (the bytes were staged in
-  /// a previous life; only the RAM copy is being rebuilt).
-  void warm_input(const data::ShardKey& key, double bytes);
-
-  /// Drops every staged input (a cold restart: process death loses RAM).
-  void clear_input_cache();
-
-  [[nodiscard]] double input_cache_resident_bytes() const;
 
  private:
   enum class Outcome : std::uint8_t;

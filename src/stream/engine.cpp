@@ -4,6 +4,11 @@
 
 namespace everest::stream {
 
+namespace {
+/// Pump poll granularity while the queue is empty.
+constexpr std::chrono::microseconds kIdlePoll{200};
+}  // namespace
+
 StreamEngine::StreamEngine(EngineConfig config, obs::Registry* registry,
                            storage::Env* env)
     : config_(config),
@@ -148,7 +153,7 @@ void StreamEngine::flush() {
 
 void StreamEngine::pump() {
   while (!stop_requested_.load()) {
-    std::optional<Event> event = ingestor_.take(config_.idle_poll);
+    std::optional<Event> event = ingestor_.take(kIdlePoll);
     if (!event.has_value()) continue;
     process(*event);
     consumed_.fetch_add(1);

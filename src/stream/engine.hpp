@@ -47,8 +47,6 @@ struct EngineConfig {
   /// Subscription admission bound: subscribe() rejects with
   /// RESOURCE_EXHAUSTED beyond this.
   std::size_t max_sessions = 64;
-  /// Pump poll granularity while the queue is empty.
-  std::chrono::microseconds idle_poll{200};
   /// Span sink (borrowed; may be null). When enabled, each delivery
   /// fan-out gets a "deliver" span and every Delivery carries a
   /// TraceContext parented under it, so consumer-side work stitches

@@ -1,24 +1,23 @@
 // Tests for the serving federation: membership suspect/dead/rejoin edges
 // on virtual time, shard-map determinism and minimal movement across
 // failovers, routing determinism (same seed + same membership events =>
-// byte-identical decision logs, swept over replication factors), and
-// end-to-end federation behaviour — keyed locality, crash/failover/rejoin
-// availability, graceful drain. Wall-clock waits poll with generous
-// timeouts: CI may run on one core, so tests assert accounting and
-// transitions, not speed.
+// byte-identical decision logs, swept over replication factors), FIFO
+// queueing on the forward fabric's links, and end-to-end federation
+// behaviour — keyed locality, crash/failover/rejoin availability,
+// graceful drain. Wall-clock waits poll with generous timeouts: CI may
+// run on one core, so tests assert accounting and transitions, not speed.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <filesystem>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cluster/fabric.hpp"
 #include "cluster/federation.hpp"
 #include "cluster/membership.hpp"
 #include "cluster/router.hpp"
@@ -474,6 +473,44 @@ TEST_P(RouterDeterminism, SameSeedSameEventsByteIdenticalDecisions) {
 INSTANTIATE_TEST_SUITE_P(ReplicationFactors, RouterDeterminism,
                          ::testing::Values(1, 2, 3));
 
+// --------------------------------------------------------------- fabric
+
+// A burst issued long after construction must still queue: each hop on a
+// link ends at least one transfer after the hop booked before it. With
+// a_k / b_k the steady-clock stamps before / after call k, hop k was
+// booked inside [a_k, b_k] and ends at that instant plus cost_k, so the
+// claim reads (b_k - a_{k-1}) + cost_k >= cost_{k-1} + transfer_us, and
+// it holds however the calls are preempted.
+TEST(ForwardFabric, BurstAfterIdleQueuesBehindBookedHops) {
+  const platform::LinkModel model = platform::LinkModel::tcp_datacenter();
+  const double bytes = 2048.0;
+  const double transfer_us = model.transfer_us(bytes);
+  ForwardFabric fabric(3, model);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  constexpr int kHops = 8;
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point a[kHops], b[kHops];
+  double cost[kHops];
+  for (int k = 0; k < kHops; ++k) {
+    a[k] = Clock::now();
+    cost[k] = fabric.hop_us(0, 1, bytes);
+    b[k] = Clock::now();
+  }
+  // The link was idle for 20 ms: the first hop pays its transfer only.
+  EXPECT_EQ(cost[0], transfer_us);
+  for (int k = 1; k < kHops; ++k) {
+    const double span_us =
+        std::chrono::duration<double, std::micro>(b[k] - a[k - 1]).count();
+    EXPECT_GE(span_us + cost[k], cost[k - 1] + transfer_us - 1e-6)
+        << "hop " << k << " cost " << cost[k] << " after " << cost[k - 1];
+  }
+
+  // The reverse direction is its own link and is still idle.
+  EXPECT_EQ(fabric.hop_us(1, 0, 512.0), model.transfer_us(512.0));
+  EXPECT_EQ(fabric.hop_us(2, 2, bytes), 0.0);
+}
+
 // ----------------------------------------------------------- federation
 
 FederationOptions small_federation(std::size_t nodes) {
@@ -622,148 +659,6 @@ TEST(Federation, CrashFailoverThenRejoinKeepsKeyedTrafficAvailable) {
   auto [a3, o3] = pump_traffic(federation, 24, true, 4000);
   EXPECT_EQ(o3, a3);
   EXPECT_EQ(a3, 24);
-  federation.stop();
-}
-
-/// Keyed traffic with real input bytes, so staging actually fills the
-/// per-node input caches (pump_traffic leaves input_bytes at 0).
-void pump_keyed_inputs(Federation& federation, int count,
-                       std::uint64_t seed_base) {
-  std::mutex mu;
-  std::condition_variable cv;
-  int pending = 0;
-  for (int i = 0; i < count; ++i) {
-    serve::Request request;
-    request.kernel = "test_kernel";
-    request.seed = seed_base + static_cast<std::uint64_t>(i);
-    request.data_key = "obj" + std::to_string(i % 24);
-    request.input_bytes = 64.0 * 1024;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      ++pending;
-    }
-    Status st = federation.submit(std::move(request),
-                                  [&](const serve::Response&) {
-                                    std::lock_guard<std::mutex> lock(mu);
-                                    --pending;
-                                    cv.notify_one();
-                                  });
-    if (!st.ok()) {
-      std::lock_guard<std::mutex> lock(mu);
-      --pending;
-    }
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait_for(lock, std::chrono::seconds(20), [&] { return pending == 0; });
-  ASSERT_EQ(pending, 0);
-}
-
-// E22 restart-to-warm: with a per-node staging WAL, a crashed node's
-// input cache is replayed back on restart instead of re-paying every
-// input transfer.
-TEST(Federation, WarmRestartReplaysInputCacheFromWal) {
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() /
-       ("everest_fed_warm_" + std::to_string(getpid())))
-          .string();
-  fs::remove_all(dir);
-
-  FederationOptions options = small_federation(3);
-  options.node.input_cache.capacity_bytes = 8.0 * 1024 * 1024;
-  options.node.input_stage_scale = 0.0;
-  options.storage_dir = dir;
-  options.cold_restart_cache = true;
-  Federation federation(options);
-  ASSERT_TRUE(federation.register_endpoint(test_endpoint()).ok());
-  ASSERT_TRUE(federation.start().ok());
-
-  pump_keyed_inputs(federation, 48, 100);
-  // Find a node whose input cache the traffic actually warmed.
-  std::size_t victim = federation.num_nodes();
-  for (std::size_t i = 0; i < federation.num_nodes(); ++i) {
-    if (federation.node(i).input_cache_resident_bytes() > 0.0) {
-      victim = i;
-      break;
-    }
-  }
-  ASSERT_LT(victim, federation.num_nodes());
-
-  federation.crash(victim);
-  // Process death: the staged inputs died with the process…
-  EXPECT_DOUBLE_EQ(federation.node(victim).input_cache_resident_bytes(), 0.0);
-
-  federation.restart(victim);
-  // …and the WAL replay brought them back before admission resumed.
-  EXPECT_GT(federation.node(victim).input_cache_resident_bytes(), 0.0);
-  const FederationStats stats = federation.stats();
-  EXPECT_GT(stats.warm_restored_entries, 0u);
-  federation.stop();
-  fs::remove_all(dir);
-}
-
-// Hinted handoff: traffic homed on a crashed node is staged (and WAL-
-// logged) by the failover owners, stamped with its *home* primary; the
-// node's restart pulls those keys out of the survivors' logs even
-// though its own WAL never saw them.
-TEST(Federation, RestartPullsHomeKeysFromPeersWals) {
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() /
-       ("everest_fed_handoff_" + std::to_string(getpid())))
-          .string();
-  fs::remove_all(dir);
-
-  FederationOptions options = small_federation(3);
-  options.node.input_cache.capacity_bytes = 8.0 * 1024 * 1024;
-  options.node.input_stage_scale = 0.0;
-  options.storage_dir = dir;
-  options.cold_restart_cache = true;
-  Federation federation(options);
-  ASSERT_TRUE(federation.register_endpoint(test_endpoint()).ok());
-  ASSERT_TRUE(federation.start().ok());
-
-  // The victim is down for the whole traffic window: every key homed on
-  // it is served — and staged — by its failover replicas, so only the
-  // survivors' WALs know about those inputs.
-  const std::size_t victim = 0;
-  federation.crash(victim);
-  pump_keyed_inputs(federation, 48, 100);
-  EXPECT_DOUBLE_EQ(federation.node(victim).input_cache_resident_bytes(), 0.0);
-
-  federation.restart(victim);
-  const FederationStats stats = federation.stats();
-  EXPECT_GT(stats.hinted_handoff_entries, 0u);
-  // The handed-off entries landed in the restarted node's input cache.
-  EXPECT_GT(federation.node(victim).input_cache_resident_bytes(), 0.0);
-  federation.stop();
-  fs::remove_all(dir);
-}
-
-TEST(Federation, ColdRestartWithoutWalStaysCold) {
-  FederationOptions options = small_federation(3);
-  options.node.input_cache.capacity_bytes = 8.0 * 1024 * 1024;
-  options.node.input_stage_scale = 0.0;
-  options.cold_restart_cache = true;  // but no storage_dir: nothing logged
-  Federation federation(options);
-  ASSERT_TRUE(federation.register_endpoint(test_endpoint()).ok());
-  ASSERT_TRUE(federation.start().ok());
-
-  pump_keyed_inputs(federation, 48, 100);
-  std::size_t victim = federation.num_nodes();
-  for (std::size_t i = 0; i < federation.num_nodes(); ++i) {
-    if (federation.node(i).input_cache_resident_bytes() > 0.0) {
-      victim = i;
-      break;
-    }
-  }
-  ASSERT_LT(victim, federation.num_nodes());
-
-  federation.crash(victim);
-  federation.restart(victim);
-  // No log to replay: the node rejoins cold and re-pays its transfers.
-  EXPECT_DOUBLE_EQ(federation.node(victim).input_cache_resident_bytes(), 0.0);
-  EXPECT_EQ(federation.stats().warm_restored_entries, 0u);
   federation.stop();
 }
 

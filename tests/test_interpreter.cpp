@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "apps/mlp.hpp"
 #include "common/rng.hpp"
@@ -182,6 +183,107 @@ TEST(Interpreter, KernelModNeverTraps) {
     ASSERT_TRUE(out.ok()) << out.status().to_string();
     EXPECT_EQ((*out)[0].data[0], c.expected) << c.a << " mod " << c.b;
   }
+}
+
+/// Two kernel-dialect functions addressing a 2×2 buffer at the position
+/// held in the input `idx` (f64 data cast to index type):
+/// gather: out[0] = data[idx[0]][idx[1]]; scatter: out[idx[0]][idx[1]] = 1.
+ir::Module indexed_access_module() {
+  ir::register_everest_dialects();
+  ir::Module m("indexed");
+  const auto mem = [](std::vector<std::int64_t> shape) {
+    return ir::Type::memref(std::move(shape), ir::ScalarKind::kF64,
+                            ir::MemorySpace::kDevice);
+  };
+  const auto position = [](ir::OpBuilder& b, const ir::Value& idx) {
+    std::vector<ir::Value> at;
+    for (std::int64_t d = 0; d < 2; ++d) {
+      const ir::Value x = b.create_value(
+          "kernel.load", {idx, b.constant_index(d)}, ir::Type::f64());
+      at.push_back(b.create_value("kernel.cast", {x}, ir::Type::index()));
+    }
+    return at;
+  };
+  ir::Function* gather =
+      m.add_function("gather", ir::Type::function(
+                                   {mem({2}), mem({2, 2}), mem({1})}, {}))
+          .value();
+  gather->set_attr("ev.num_inputs", ir::Attribute::integer(2));
+  gather->set_attr("ev.num_outputs", ir::Attribute::integer(1));
+  {
+    ir::OpBuilder b(&gather->entry());
+    const std::vector<ir::Value> at = position(b, gather->arg(0));
+    const ir::Value v = b.create_value(
+        "kernel.load", {gather->arg(1), at[0], at[1]}, ir::Type::f64());
+    b.create("kernel.store", {v, gather->arg(2), b.constant_index(0)}, {});
+    b.ret();
+  }
+  ir::Function* scatter =
+      m.add_function("scatter",
+                     ir::Type::function({mem({2}), mem({2, 2})}, {}))
+          .value();
+  scatter->set_attr("ev.num_inputs", ir::Attribute::integer(1));
+  scatter->set_attr("ev.num_outputs", ir::Attribute::integer(1));
+  {
+    ir::OpBuilder b(&scatter->entry());
+    const std::vector<ir::Value> at = position(b, scatter->arg(0));
+    b.create("kernel.store",
+             {b.constant_f64(1.0), scatter->arg(1), at[0], at[1]}, {});
+    b.ret();
+  }
+  return m;
+}
+
+TEST(Interpreter, KernelIndexOutsideItsDimensionIsOutOfRange) {
+  ir::Module m = indexed_access_module();
+  ASSERT_TRUE(ir::verify(m).ok()) << ir::verify(m).to_string();
+  const TensorValue data = TensorValue::from({2, 2}, {10, 11, 12, 13});
+  const auto gather = [&](double row, double col) {
+    return run_kernel_function(m, "gather",
+                               {TensorValue::from({2}, {row, col}), data});
+  };
+  const auto scatter = [&](double row, double col) {
+    return run_kernel_function(m, "scatter",
+                               {TensorValue::from({2}, {row, col})});
+  };
+  // In range: each index addresses its own element; a fractional index
+  // truncates toward zero.
+  const double in_range[][3] = {
+      {0, 0, 0}, {0, 1, 1}, {1, 0, 2}, {1, 1, 3}, {1.5, 0.25, 2}};
+  for (const auto& [row, col, element] : in_range) {
+    auto read = gather(row, col);
+    ASSERT_TRUE(read.ok()) << read.status().to_string();
+    EXPECT_EQ((*read)[0].data[0], data.data[static_cast<std::size_t>(element)])
+        << "[" << row << "][" << col << "]";
+    auto written = scatter(row, col);
+    ASSERT_TRUE(written.ok()) << written.status().to_string();
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ((*written)[0].data[i],
+                static_cast<double>(i) == element ? 1.0 : 0.0)
+          << "[" << row << "][" << col << "] element " << i;
+    }
+  }
+  // Out of range in one dimension, including where the row-major offset
+  // would still land inside the buffer ([1][-1], [2][-3] and [0][2]).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double out_of_range[][2] = {{1, -1},   {2, -3},    {0, 2},
+                                    {1e300, 1}, {-1e300, 0}, {-0.5, 0},
+                                    {0, inf},  {nan, 0}};
+  for (const auto& [row, col] : out_of_range) {
+    EXPECT_EQ(gather(row, col).status().code(), StatusCode::kOutOfRange)
+        << "load [" << row << "][" << col << "]";
+    EXPECT_EQ(scatter(row, col).status().code(), StatusCode::kOutOfRange)
+        << "store [" << row << "][" << col << "]";
+  }
+  // A bound 2×2 tensor that carries one element: [1][1] is in its shape
+  // but past its data.
+  EXPECT_EQ(run_kernel_function(m, "gather",
+                                {TensorValue::from({2}, {1, 1}),
+                                 TensorValue::from({2, 2}, {10})})
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(Interpreter, ReduceKindsIncludingNegatives) {

@@ -2,6 +2,9 @@
 // plus targeted grammar cases and property-style sweeps over random modules.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/rng.hpp"
 #include "ir/builder.hpp"
 #include "ir/dialect.hpp"
@@ -168,6 +171,67 @@ TEST(Parser, ParsesStandaloneTypes) {
   EXPECT_TRUE(t3->is_stream());
   EXPECT_FALSE(parse_type("tensor<4x").ok());
   EXPECT_FALSE(parse_type("blob<4>").ok());
+}
+
+TEST(RoundTrip, NonFiniteReals) {
+  register_everest_dialects();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Module m("app");
+  Function* fn = m.add_function("f", Type::function({}, {})).value();
+  OpBuilder b(&fn->entry());
+  b.create("builtin.call", {}, {},
+           {{"callee", Attribute::string("target")},
+            {"pos_inf", Attribute::real(inf)},
+            {"neg_inf", Attribute::real(-inf)},
+            {"not_a_number", Attribute::real(nan)},
+            {"negative_nan", Attribute::real(-nan)},
+            {"listed", Attribute::array({Attribute::real(inf),
+                                         Attribute::real(nan)})},
+            {"weights", Attribute::dense_f64({inf, -inf, nan, 1.0})}});
+  b.ret();
+  expect_roundtrip(m);
+
+  auto parsed = parse_module(print(m));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  const Operation& call = *(*parsed)->find("f")->entry().begin()->get();
+  EXPECT_EQ(call.attr("pos_inf")->as_double(), inf);
+  EXPECT_EQ(call.attr("neg_inf")->as_double(), -inf);
+  EXPECT_TRUE(std::isnan(call.attr("not_a_number")->as_double()));
+  EXPECT_FALSE(std::signbit(call.attr("not_a_number")->as_double()));
+  EXPECT_TRUE(std::signbit(call.attr("negative_nan")->as_double()));
+  const std::vector<double>& weights = call.attr("weights")->as_dense_f64();
+  ASSERT_EQ(weights.size(), 4u);
+  EXPECT_EQ(weights[1], -inf);
+  EXPECT_TRUE(std::isnan(weights[2]));
+}
+
+TEST(Parser, IntegerOutsideInt64IsInvalidArgument) {
+  const auto attribute = [](const std::string& literal) {
+    return parse_module("module @m attributes {a = " + literal +
+                        "} {\n}\n");
+  };
+  for (const char* literal : {"99999999999999999999", "-99999999999999999999",
+                              "9223372036854775808", "-9223372036854775809"}) {
+    EXPECT_EQ(attribute(literal).status().code(),
+              StatusCode::kInvalidArgument)
+        << literal;
+  }
+  // Both ends of int64 parse exactly, past double's 53-bit mantissa.
+  for (const std::int64_t value : {std::numeric_limits<std::int64_t>::min(),
+                                   std::numeric_limits<std::int64_t>::max(),
+                                   std::int64_t{9007199254740993}}) {
+    auto parsed = attribute(std::to_string(value));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+    EXPECT_EQ((*parsed)->attributes().at("a").as_int(), value);
+  }
+  // Shape dimensions: the leading one and the later ones.
+  for (const char* type : {"tensor<99999999999999999999xf64>",
+                           "tensor<4x99999999999999999999xf64>",
+                           "memref<1e300xf64>"}) {
+    EXPECT_EQ(parse_type(type).status().code(), StatusCode::kInvalidArgument)
+        << type;
+  }
 }
 
 TEST(Parser, ToleratesComments) {

@@ -1155,85 +1155,6 @@ TEST(Server, UnkeyedRequestsSkipInputStaging) {
   EXPECT_DOUBLE_EQ(snap.input_stall_us, 0.0);
 }
 
-TEST(Server, WarmInputPreseedsCacheWithoutStall) {
-  runtime::KnowledgeBase kb;
-  ServerOptions options;
-  options.worker_threads = 1;
-  options.batch.max_batch = 1;
-  options.input_cache.capacity_bytes = 8.0 * 1024 * 1024;
-  options.input_stage_scale = 0.0;
-  Server server(options, &kb);
-  ASSERT_TRUE(server.register_endpoint(test_endpoint()).ok());
-  ASSERT_TRUE(server.start().ok());
-
-  // Re-seed the entry a recovery replay would restore: the very first
-  // request is already a hit — the restart-to-warm path.
-  const data::ShardKey key{data::object_id_from_name("tenant-a/hot"), 0, 0};
-  server.warm_input(key, 64.0 * 1024);
-  EXPECT_GT(server.input_cache_resident_bytes(), 0.0);
-
-  for (int i = 0; i < 5; ++i) {
-    Request request;
-    request.kernel = "test_kernel";
-    request.data_key = "tenant-a/hot";
-    request.input_bytes = 64.0 * 1024;
-    ASSERT_TRUE(server.submit(request, [](const Response&) {}).ok());
-    server.drain();
-  }
-  server.stop();
-  const MetricsSnapshot snap = server.metrics().snapshot();
-  EXPECT_EQ(snap.input_misses, 0u);
-  EXPECT_EQ(snap.input_hits, 5u);
-  EXPECT_DOUBLE_EQ(snap.input_stall_us, 0.0);
-}
-
-TEST(Server, InputStagedObserverSeesColdStagingsOnly) {
-  runtime::KnowledgeBase kb;
-  ServerOptions options;
-  options.worker_threads = 1;
-  options.batch.max_batch = 1;
-  options.input_cache.capacity_bytes = 8.0 * 1024 * 1024;
-  options.input_stage_scale = 0.0;
-  std::mutex mu;
-  std::vector<std::pair<data::ShardKey, double>> staged;
-  options.on_input_staged = [&](const data::ShardKey& key, double bytes,
-                                double) {
-    std::lock_guard<std::mutex> lock(mu);
-    staged.push_back({key, bytes});
-  };
-  Server server(options, &kb);
-  ASSERT_TRUE(server.register_endpoint(test_endpoint()).ok());
-  ASSERT_TRUE(server.start().ok());
-
-  const auto send = [&](const std::string& key) {
-    Request request;
-    request.kernel = "test_kernel";
-    request.data_key = key;
-    request.input_bytes = 32.0 * 1024;
-    ASSERT_TRUE(server.submit(request, [](const Response&) {}).ok());
-    server.drain();
-  };
-  send("obj-a");
-  send("obj-a");  // warm: no staging, no callback
-  send("obj-b");
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    ASSERT_EQ(staged.size(), 2u);  // one cold staging per distinct key
-    EXPECT_EQ(staged[0].first.object, data::object_id_from_name("obj-a"));
-    EXPECT_DOUBLE_EQ(staged[0].second, 32.0 * 1024);
-    EXPECT_EQ(staged[1].first.object, data::object_id_from_name("obj-b"));
-  }
-
-  // Process death drops the staged inputs; the next read is cold again
-  // and the observer (the WAL, in the federation) sees it again.
-  server.clear_input_cache();
-  EXPECT_DOUBLE_EQ(server.input_cache_resident_bytes(), 0.0);
-  send("obj-a");
-  server.stop();
-  std::lock_guard<std::mutex> lock(mu);
-  EXPECT_EQ(staged.size(), 3u);
-}
-
 TEST(Endpoints, StandardEndpointsServeRealWork) {
   runtime::KnowledgeBase kb;
   ServerOptions options;

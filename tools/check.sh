@@ -12,16 +12,21 @@
 #      storage, stream, jit, runtime — the last two cover the JIT's
 #      KnowledgeBase hot-swap against concurrent selection) run under
 #      ctest;
-#   5. an AddressSanitizer build (EVEREST_SANITIZE=address) of the
-#      I/O-error-path-heavy test binaries (storage, data): fault
-#      injection exercises every short-write/EIO/ENOSPC cleanup path,
-#      and ASan proves none of them leaks or double-frees; plus serve and
-#      cluster, whose servers start and join their own worker threads
-#      and own each batch's lifetime across them; plus common and
-#      ir_roundtrip, whose JSON and IR parsers must reject malformed and
-#      over-nested input without a crash; plus compiler and interpreter,
-#      whose constant folding and reference semantics evaluate arbitrary
-#      scalar operands (`mod` by a fractional divisor, INT64_MIN % -1).
+#   5. an AddressSanitizer + UBSan build (EVEREST_SANITIZE=address, which
+#      adds float-cast-overflow and makes every UBSan report abort its
+#      test) of the I/O-error-path-heavy test binaries (storage, data):
+#      fault injection exercises every short-write/EIO/ENOSPC cleanup
+#      path, and ASan proves none of them leaks or double-frees; plus
+#      serve and cluster, whose servers start and join their own worker
+#      threads and own each batch's lifetime across them; plus common and
+#      ir_roundtrip, whose JSON and IR parsers must reject malformed,
+#      over-nested and out-of-range input without a crash; plus compiler
+#      and interpreter, whose constant folding and reference semantics
+#      evaluate arbitrary scalar operands and indices (`mod` by a
+#      fractional divisor, INT64_MIN % -1, an index of 1e300); plus
+#      stream, jit, obs and runtime, which parse bytes back in (WAL
+#      replay, the jit cache load, the chrome-trace validator, the
+#      KnowledgeBase JSON load).
 # Every build compiles with -Werror (set through CMAKE_CXX_FLAGS, so the
 # project itself gains no option). Any failure aborts the script with a
 # non-zero exit.
@@ -79,14 +84,15 @@ cmake --build "$ROOT/build-tsan" -j "$JOBS" \
   -R 'test_serve|test_obs|test_data|test_cluster|test_storage|test_stream|test_jit|test_runtime')
 
 echo
-echo "=== [5/5] ASan: storage + data + serve + cluster + common + compiler + interpreter + ir_roundtrip tests ==="
+echo "=== [5/5] ASan+UBSan: storage + data + serve + cluster + common + compiler + interpreter + ir_roundtrip + stream + jit + obs + runtime tests ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DEVEREST_SANITIZE=address \
   -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target test_storage test_data test_serve test_cluster test_common \
-  test_compiler test_interpreter test_ir_roundtrip
+  test_compiler test_interpreter test_ir_roundtrip test_stream test_jit \
+  test_obs test_runtime
 (cd "$ROOT/build-asan" && ctest --output-on-failure -j "$JOBS" \
-  -R 'test_storage|test_data|test_serve|test_cluster|test_common|test_compiler|test_interpreter|test_ir_roundtrip')
+  -R 'test_storage|test_data|test_serve|test_cluster|test_common|test_compiler|test_interpreter|test_ir_roundtrip|test_stream|test_jit|test_obs|test_runtime')
 
 echo
 echo "check.sh: all gates passed."
